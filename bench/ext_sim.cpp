@@ -1,5 +1,6 @@
 // Simulator hot-path snapshot: cold DC latency distribution, warm-start
-// Monte-Carlo-style chain throughput, and batched-AC throughput, each
+// Monte-Carlo-style chain throughput, batched-AC throughput and transient
+// step throughput, each
 // measured against the pre-optimization reference path kept alive as
 // SolverMode::kReference -- the baseline is recorded in the same run, on
 // the same machine, so the speedups in BENCH_sim.json are self-contained.
@@ -9,7 +10,9 @@
 //   * warm-chain points/sec vs per-point cold reference (sweep throughput),
 //   * AC (frequency, excitation) points/sec, batched fast vs one-at-a-time
 //     reference,
-//   * heap allocation counts per AC point and per warm solve vs reference.
+//   * heap allocation counts per AC point and per warm solve vs reference,
+//   * transient steps/sec and allocations per step, fast vs reference runs
+//     interleaved in this one process.
 //
 // Acceptance gates (exit 1 on violation):
 //   * AC batch throughput   >= 2.0x the reference path,
@@ -17,7 +20,9 @@
 //   * fast-path allocations <= 50% of the reference per AC point and per
 //     warm solve,
 //   * fast Newton iters/sec >= 0.9x the reference (the batched device
-//     evaluation must not regress per-iteration cost).
+//     evaluation must not regress per-iteration cost),
+//   * transient steps/sec   >= 1.2x the reference,
+//   * transient allocations per step <= 50% of the reference.
 //
 // CI runs a short-budget pass: ext_sim --sim-reps=30 --benchmark_filter=none.
 #include <benchmark/benchmark.h>
@@ -108,6 +113,8 @@ int gSimReps = 60;  // Repetition budget; CI passes a smaller one.
 struct Workload {
   std::unique_ptr<device::MosModel> model = device::MosModel::create("ekv");
   circuit::Circuit testbench;
+  sizing::VerifyOptions verifyOptions;
+  circuit::Circuit slewTestbench;  ///< The same design under the slew transient.
   Workload() {
     const tech::Technology& t = technology();
     sizing::OtaSizer sizer(t, *model);
@@ -115,6 +122,9 @@ struct Workload {
         sizer.size(sizing::OtaSpecs{}, sizing::SizingPolicy::case2());
     sizing::OtaVerifier v(t, *model);
     testbench = v.buildAcTestbench(sized.design, nullptr, 1.0, 0.0, 0.0);
+    slewTestbench = sizing::buildSlewTestbench(
+        [&](circuit::Circuit& c) { circuit::instantiateOta(c, sized.design); },
+        sized.design.inputCm, nullptr, verifyOptions);
   }
   [[nodiscard]] static const tech::Technology& technology() {
     static const tech::Technology t = tech::Technology::generic060();
@@ -331,8 +341,75 @@ AcSample runAcBatch(const Workload& w) {
   return s;
 }
 
+struct TranSample {
+  int reps = 0;
+  long stepsPerRun = 0;
+  double newtonItersPerStep = 0.0;
+  double fastStepsPerSec = 0.0;
+  double refStepsPerSec = 0.0;
+  double speedup = 0.0;
+  double allocsPerStepFast = 0.0;
+  double allocsPerStepRef = 0.0;
+  double allocRatio = 0.0;
+};
+
+/// The verification tier's slew transient (hard unity feedback, +/- input
+/// step, 1000 steps of 0.5 ns) -- the analysis that dominates a
+/// verification stage.  Fast and reference runs alternate rep by rep, so
+/// host drift lands on both sides alike.
+TranSample runTransient(const Workload& w) {
+  TranSample s;
+  s.reps = std::max(gSimReps / 5, 3);
+  const double tStop = w.verifyOptions.tranStop, dt = w.verifyOptions.tranStep;
+  sim::Simulator fast(w.slewTestbench, Workload::technology(), *w.model,
+                      w.options(sim::SolverMode::kFast));
+  // One untimed run per side warms caches and the fast workspace.
+  benchmark::DoNotOptimize(fast.transient(tStop, dt).size());
+  {
+    sim::Simulator ref(w.slewTestbench, Workload::technology(), *w.model,
+                       w.options(sim::SolverMode::kReference));
+    benchmark::DoNotOptimize(ref.transient(tStop, dt).size());
+  }
+  const sim::SimStats before = fast.stats();
+
+  double fastSec = 0.0, refSec = 0.0;
+  unsigned long long fastAllocs = 0, refAllocs = 0;
+  for (int rep = 0; rep < s.reps; ++rep) {
+    unsigned long long a0 = allocsNow();
+    auto t0 = Clock::now();
+    const auto f = fast.transient(tStop, dt);
+    fastSec += secondsSince(t0);
+    fastAllocs += allocsNow() - a0;
+    benchmark::DoNotOptimize(f.back().nodeV.data());
+
+    sim::Simulator ref(w.slewTestbench, Workload::technology(), *w.model,
+                       w.options(sim::SolverMode::kReference));
+    a0 = allocsNow();
+    t0 = Clock::now();
+    const auto r = ref.transient(tStop, dt);
+    refSec += secondsSince(t0);
+    refAllocs += allocsNow() - a0;
+    benchmark::DoNotOptimize(r.back().nodeV.data());
+    s.stepsPerRun = static_cast<long>(r.size()) - 1;
+  }
+  const double steps = static_cast<double>(fast.stats().tranSteps - before.tranSteps);
+  s.newtonItersPerStep =
+      steps > 0.0 ? (fast.stats().tranNewtonIterations - before.tranNewtonIterations) / steps
+                  : 0.0;
+  s.fastStepsPerSec = fastSec > 0.0 ? steps / fastSec : 0.0;
+  s.refStepsPerSec = refSec > 0.0 ? steps / refSec : 0.0;
+  s.speedup = s.refStepsPerSec > 0.0 ? s.fastStepsPerSec / s.refStepsPerSec : 0.0;
+  // Every returned sample owns one heap vector (nodeV) in both modes;
+  // subtract it so the metric isolates the SOLVER's per-step allocations.
+  const double kResultAllocsPerStep = 1.0;
+  s.allocsPerStepFast = std::max(0.0, fastAllocs / steps - kResultAllocsPerStep);
+  s.allocsPerStepRef = std::max(0.0, refAllocs / steps - kResultAllocsPerStep);
+  s.allocRatio = s.allocsPerStepRef > 0.0 ? s.allocsPerStepFast / s.allocsPerStepRef : 0.0;
+  return s;
+}
+
 std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample& ac,
-                   int failures) {
+                   const TranSample& tran, int failures) {
   std::ostringstream out;
   out.precision(10);
   out << "{\n  \"bench\": \"ext_sim\",\n  \"reps\": " << gSimReps
@@ -356,8 +433,18 @@ std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample&
       << ", \"solver_allocs_per_point_fast\": " << ac.allocsPerPointFast
       << ", \"solver_allocs_per_point_ref\": " << ac.allocsPerPointRef
       << ", \"alloc_ratio\": " << ac.allocRatio
+      << "},\n  \"tran\": {\"reps\": " << tran.reps
+      << ", \"steps_per_run\": " << tran.stepsPerRun
+      << ", \"newton_iters_per_step\": " << tran.newtonItersPerStep
+      << ", \"fast_steps_per_sec\": " << tran.fastStepsPerSec
+      << ", \"ref_steps_per_sec\": " << tran.refStepsPerSec
+      << ", \"speedup\": " << tran.speedup
+      << ", \"solver_allocs_per_step_fast\": " << tran.allocsPerStepFast
+      << ", \"solver_allocs_per_step_ref\": " << tran.allocsPerStepRef
+      << ", \"alloc_ratio\": " << tran.allocRatio
       << "},\n  \"gates\": {\"ac_speedup_min\": 2.0, \"sweep_speedup_min\": 1.5,"
-      << " \"alloc_ratio_max\": 0.5, \"iters_ratio_min\": 0.9, \"pass\": "
+      << " \"alloc_ratio_max\": 0.5, \"iters_ratio_min\": 0.9,"
+      << " \"tran_speedup_min\": 1.2, \"tran_alloc_ratio_max\": 0.5, \"pass\": "
       << (failures == 0 ? "true" : "false") << "}\n}\n";
   return out.str();
 }
@@ -367,6 +454,7 @@ int runSnapshot() {
   const DcSample dc = runColdDc(w);
   const SweepSample sweep = runWarmSweep(w);
   const AcSample ac = runAcBatch(w);
+  const TranSample tran = runTransient(w);
 
   std::printf("\n=== ext_sim: simulator hot-path snapshot (%d reps) ===\n", gSimReps);
   std::printf("cold DC    p50=%.3f ms  p99=%.3f ms  iters/s fast=%.3g ref=%.3g (%.2fx)\n",
@@ -380,6 +468,11 @@ int runSnapshot() {
               "  speedup=%.2fx  solver allocs/pt fast=%.2f ref=%.2f (%.2fx)\n",
               ac.freqPoints, ac.excitations, ac.fastPointsPerSec, ac.refPointsPerSec,
               ac.speedup, ac.allocsPerPointFast, ac.allocsPerPointRef, ac.allocRatio);
+  std::printf("transient  %d x %ld steps  %.2f iters/step  fast=%.3g steps/s ref=%.3g steps/s"
+              "  speedup=%.2fx  solver allocs/step fast=%.3f ref=%.2f (%.3fx)\n",
+              tran.reps, tran.stepsPerRun, tran.newtonItersPerStep, tran.fastStepsPerSec,
+              tran.refStepsPerSec, tran.speedup, tran.allocsPerStepFast,
+              tran.allocsPerStepRef, tran.allocRatio);
 
   int failures = 0;
   if (ac.speedup < 2.0) {
@@ -404,6 +497,14 @@ int runSnapshot() {
                 dc.itersRatio);
     ++failures;
   }
+  if (tran.speedup < 1.2) {
+    std::printf("ACCEPTANCE FAIL: transient speedup %.2fx < 1.2x\n", tran.speedup);
+    ++failures;
+  }
+  if (tran.allocRatio > 0.5) {
+    std::printf("ACCEPTANCE FAIL: transient alloc ratio %.2f > 0.5\n", tran.allocRatio);
+    ++failures;
+  }
   if (sweep.warmHits < sweep.trials) {
     std::printf("ACCEPTANCE FAIL: only %ld/%d warm-start hits\n", sweep.warmHits,
                 sweep.trials);
@@ -411,11 +512,11 @@ int runSnapshot() {
   }
   if (failures == 0) {
     std::printf("acceptance: AC >= 2x, sweep >= 1.5x, allocs <= 50%%, "
-                "iters/sec >= 0.9x -- all gates hold\n");
+                "iters/sec >= 0.9x, transient >= 1.2x -- all gates hold\n");
   }
 
   const std::string path = layout::outputPath("BENCH_sim.json");
-  layout::writeFile(path, toJson(dc, sweep, ac, failures));
+  layout::writeFile(path, toJson(dc, sweep, ac, tran, failures));
   std::printf("wrote %s\n", path.c_str());
   return failures;
 }
@@ -456,6 +557,18 @@ void BM_AcBatchThreeExcitations(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AcBatchThreeExcitations)->Unit(benchmark::kMillisecond);
+
+void BM_SlewTransient(benchmark::State& state) {
+  const Workload w;
+  const sim::SolverMode mode =
+      state.range(0) == 0 ? sim::SolverMode::kFast : sim::SolverMode::kReference;
+  sim::Simulator sim(w.slewTestbench, Workload::technology(), *w.model, w.options(mode));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sim.transient(w.verifyOptions.tranStop, w.verifyOptions.tranStep).size());
+  }
+}
+BENCHMARK(BM_SlewTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -88,15 +88,10 @@ double MosModel::drainCurrent(const tech::MosModelCard& card, const MosGeometry&
   return p * currentNormalized(card, geo, p * vgs, p * vds, p * vbs, tempK);
 }
 
-MosOpPoint MosModel::evaluate(const tech::MosModelCard& card, const MosGeometry& geo,
-                              double vgs, double vds, double vbs, double tempK) const {
+MosStamp MosModel::evaluateStamp(const tech::MosModelCard& card, const MosGeometry& geo,
+                                 double vgs, double vds, double vbs, double tempK) const {
   const double p = card.polarity();
   const double nvgs = p * vgs, nvds = p * vds, nvbs = p * vbs;
-
-  MosOpPoint op;
-  op.vgs = vgs;
-  op.vds = vds;
-  op.vbs = vbs;
 
   // Value plus central-difference stencil in one batch: one pass through
   // the model with the card invariants hoisted, instead of seven scalar
@@ -107,17 +102,32 @@ MosOpPoint MosModel::evaluate(const tech::MosModelCard& card, const MosGeometry&
   const double vb7[7] = {nvbs, nvbs, nvbs, nvbs, nvbs, nvbs + h, nvbs - h};
   double id7[7];
   currentNormalizedBatch(card, geo, vg7, vd7, vb7, id7, 7, tempK);
-  op.id = p * id7[0];
 
+  MosStamp s;
+  s.id = p * id7[0];
   // Conductances by central differences on the normalised current; the
-  // magnitudes are polarity independent.
-  op.gm = (id7[1] - id7[2]) / (2 * h);
-  op.gds = (id7[3] - id7[4]) / (2 * h);
-  op.gmb = (id7[5] - id7[6]) / (2 * h);
-  // Numerical noise floor: clamp tiny negatives from differencing.
-  op.gm = std::max(op.gm, 0.0);
-  op.gds = std::max(op.gds, 1e-15);
-  op.gmb = std::max(op.gmb, 0.0);
+  // magnitudes are polarity independent.  Numerical noise floor: clamp
+  // tiny negatives from differencing.
+  s.gm = std::max((id7[1] - id7[2]) / (2 * h), 0.0);
+  s.gds = std::max((id7[3] - id7[4]) / (2 * h), 1e-15);
+  s.gmb = std::max((id7[5] - id7[6]) / (2 * h), 0.0);
+  return s;
+}
+
+MosOpPoint MosModel::evaluate(const tech::MosModelCard& card, const MosGeometry& geo,
+                              double vgs, double vds, double vbs, double tempK) const {
+  const double p = card.polarity();
+  const double nvgs = p * vgs, nvds = p * vds, nvbs = p * vbs;
+
+  MosOpPoint op;
+  op.vgs = vgs;
+  op.vds = vds;
+  op.vbs = vbs;
+  const MosStamp s = evaluateStamp(card, geo, vgs, vds, vbs, tempK);
+  op.id = s.id;
+  op.gm = s.gm;
+  op.gds = s.gds;
+  op.gmb = s.gmb;
 
   const double vthN = threshold(card, std::min(nvbs, card.phi - 0.05));
   op.vth = p * vthN;

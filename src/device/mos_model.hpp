@@ -53,6 +53,15 @@ class MosModel {
                                     double vgs, double vds, double vbs,
                                     double tempK = 300.15) const;
 
+  /// The part of evaluate() a Newton stamp reads: drain current and the
+  /// three conductances, from the same 7-point stencil.  Each field is
+  /// bit-identical to the same field of evaluate() (which is built on top
+  /// of this), without the threshold, saturation, capacitance and noise
+  /// work the stamps never consume.
+  [[nodiscard]] MosStamp evaluateStamp(const tech::MosModelCard& card,
+                                       const MosGeometry& geo, double vgs, double vds,
+                                       double vbs, double tempK = 300.15) const;
+
   /// Full DC + small-signal operating point (conductances by numeric
   /// differentiation of the current equation, Meyer gate capacitances,
   /// bias-dependent junction capacitances, thermal + flicker noise PSDs).

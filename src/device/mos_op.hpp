@@ -47,6 +47,15 @@ enum class MosRegion { kCutoff, kWeak, kTriode, kSaturation };
   return "?";
 }
 
+/// Linearised drain current of one MOS device: what an MNA Newton stamp
+/// reads.  Same sign conventions as the matching MosOpPoint fields.
+struct MosStamp {
+  double id = 0.0;   ///< Drain terminal current [A].
+  double gm = 0.0;   ///< [S]
+  double gds = 0.0;  ///< [S]
+  double gmb = 0.0;  ///< [S]
+};
+
 /// Complete DC + small-signal operating point of one MOS device.
 /// Sign conventions follow the device polarity: `id` is the current into the
 /// drain terminal (negative for PMOS in normal operation).

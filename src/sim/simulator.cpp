@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 
 #include "sim/linear.hpp"
@@ -58,6 +59,144 @@ struct CapStampOp {
   double value = 0.0;  ///< Signed capacitance [F].
 };
 
+/// Run `eval(card)` on the model card `mos` is evaluated against: the
+/// technology card, with the per-device mismatch knobs (Monte Carlo
+/// statistical verification) applied on a copy when set.
+template <typename Eval>
+auto withDeviceCard(const tech::Technology& tech, const circuit::Mos& mos, Eval eval) {
+  if (mos.vtoDelta != 0.0 || mos.kpScale != 1.0) {
+    tech::MosModelCard card = tech.card(mos.type);
+    card.vto += mos.vtoDelta;
+    card.kp *= mos.kpScale;
+    return eval(card);
+  }
+  return eval(tech.card(mos.type));
+}
+
+/// The stamp half of a scaled op point (what the Newton stamps read).
+device::MosStamp stampOf(const device::MosOpPoint& op) {
+  return {op.id, op.gm, op.gds, op.gmb};
+}
+
+/// The time-invariant stamps every DC and transient Newton matrix starts
+/// from, in the original assembly order: gmin diagonal, resistors, then
+/// V-source and VCVS incidence.  Clears `a` first.  A copy of this
+/// skeleton followed by the per-iteration stamps reproduces a full
+/// re-assembly bit for bit: every entry sees the same additions in the
+/// same order.
+void stampLinearSkeleton(const circuit::Circuit& ckt, double gmin, DenseMatrix<double>& a) {
+  const std::size_t nNodes = static_cast<std::size_t>(ckt.nodeCount() - 1);
+  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };  // Ground maps to -1.
+  a.clear();
+  for (std::size_t i = 0; i < nNodes; ++i) a.stamp(i, i, gmin);
+
+  for (const circuit::Resistor& r : ckt.resistors) {
+    const double g = 1.0 / r.ohms;
+    a.stamp(idx(r.a), idx(r.a), g);
+    a.stamp(idx(r.b), idx(r.b), g);
+    a.stamp(idx(r.a), idx(r.b), -g);
+    a.stamp(idx(r.b), idx(r.a), -g);
+  }
+
+  std::size_t branch = nNodes;
+  for (const circuit::VSource& s : ckt.vsources) {
+    a.stamp(idx(s.pos), branch, 1.0);
+    a.stamp(idx(s.neg), branch, -1.0);
+    a.stamp(branch, idx(s.pos), 1.0);
+    a.stamp(branch, idx(s.neg), -1.0);
+    ++branch;
+  }
+  for (const circuit::Vcvs& e : ckt.vcvs) {
+    a.stamp(idx(e.pos), branch, 1.0);
+    a.stamp(idx(e.neg), branch, -1.0);
+    a.stamp(branch, idx(e.pos), 1.0);
+    a.stamp(branch, idx(e.neg), -1.0);
+    a.stamp(branch, idx(e.cp), -e.gain);
+    a.stamp(branch, idx(e.cn), e.gain);
+    ++branch;
+  }
+}
+
+/// The independent-source half of the Newton RHS, in the original order:
+/// I-sources into their nodes, then V-source values on their branches.
+/// `value(wave)` is each source's value at this solve (scaled DC value, or
+/// the waveform at the step's time).  Zeroes `rhs` first.
+template <typename ValueFn>
+void stampSourceRhs(const circuit::Circuit& ckt, ValueFn value, std::vector<double>& rhs) {
+  const std::size_t nNodes = static_cast<std::size_t>(ckt.nodeCount() - 1);
+  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };
+  std::fill(rhs.begin(), rhs.end(), 0.0);
+  for (const circuit::ISource& s : ckt.isources) {
+    const double i0 = value(s.wave);
+    if (idx(s.pos) >= 0) rhs[idx(s.pos)] -= i0;
+    if (idx(s.neg) >= 0) rhs[idx(s.neg)] += i0;
+  }
+  std::size_t branch = nNodes;
+  for (const circuit::VSource& s : ckt.vsources) rhs[branch++] = value(s.wave);
+}
+
+/// Linearised MOS companion: i_d = Ieq + gm vgs + gds vds + gmb vbs about x.
+void stampMos(const circuit::Mos& m, const device::MosStamp& op, const std::vector<double>& x,
+              DenseMatrix<double>& a, std::vector<double>& rhs) {
+  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };
+  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
+  const double vgs = v(m.gate) - v(m.source);
+  const double vds = v(m.drain) - v(m.source);
+  const double vbs = v(m.bulk) - v(m.source);
+  const double ieq = op.id - op.gm * vgs - op.gds * vds - op.gmb * vbs;
+  const auto d = idx(m.drain), g = idx(m.gate), s = idx(m.source), b = idx(m.bulk);
+  a.stamp(d, g, op.gm);
+  a.stamp(d, d, op.gds);
+  a.stamp(d, b, op.gmb);
+  a.stamp(d, s, -(op.gm + op.gds + op.gmb));
+  a.stamp(s, g, -op.gm);
+  a.stamp(s, d, -op.gds);
+  a.stamp(s, b, -op.gmb);
+  a.stamp(s, s, op.gm + op.gds + op.gmb);
+  if (d >= 0) rhs[d] -= ieq;
+  if (s >= 0) rhs[s] += ieq;
+}
+
+/// Damped Newton update x += clamp(xNew - x): node voltages move at most
+/// `maxStepV` per iteration.  Returns the largest update scaled by the
+/// convergence tolerance (< 1 means converged) and its unknown in `worst`.
+double applyNewtonUpdate(const SimOptions& o, std::size_t nNodes,
+                         const std::vector<double>& xNew, std::vector<double>& x,
+                         std::size_t& worst) {
+  double maxDelta = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    double delta = xNew[i] - x[i];
+    const double limit = i < nNodes ? o.maxStepV : 1e9;  // Damp voltages only.
+    delta = std::clamp(delta, -limit, limit);
+    x[i] += delta;
+    const double scaled = std::abs(delta) / (o.absTolV + o.relTol * std::abs(x[i]));
+    if (scaled > maxDelta) {
+      maxDelta = scaled;
+      worst = i;
+    }
+  }
+  return maxDelta;
+}
+
+/// One capacitor branch of a transient: explicit capacitors first, then
+/// five per MOS (cgs, cgd, cgb, cdb, csb) refreshed at every step start.
+struct TranCapBranch {
+  NodeId a = circuit::kGround, b = circuit::kGround;
+  double c = 0.0;
+  double iPrev = 0.0;
+};
+
+/// One trapezoidal capacitor companion of the current step.  The fast
+/// transient records these once per step and replays them onto every
+/// Newton iteration's matrix and RHS, after the MOS stamps, exactly as the
+/// reference path re-stamps them.
+struct TranCapStamp {
+  std::ptrdiff_t a = -1;  ///< Matrix index; -1 is ground.
+  std::ptrdiff_t b = -1;
+  double geq = 0.0;
+  double ieq = 0.0;
+};
+
 }  // namespace
 
 /// Per-instance scratch arena.  kFast solves run entirely inside these
@@ -65,10 +204,18 @@ struct CapStampOp {
 /// perform no heap allocation; kReference deliberately keeps the original
 /// per-call allocation shape instead.
 struct Simulator::Workspace {
-  // DC / transient Newton buffers.
+  // DC / transient Newton buffers: the linear skeleton, the RHS base, the
+  // per-iteration matrix and solution.
+  DenseMatrix<double> base;
+  std::vector<double> rhsBase;
   DenseMatrix<double> a;
-  std::vector<double> rhs;
   std::vector<double> xNew;
+  // Transient step state: capacitor branches, this step's companion
+  // replay list, the start-of-step solution and device stamps.
+  std::vector<TranCapBranch> caps;
+  std::vector<TranCapStamp> capStamps;
+  std::vector<double> xPrev;
+  std::vector<device::MosStamp> stepStamps;
   // AC skeleton: frequency-independent stamps plus the reactive replay
   // list and the excite-mode source vector.
   DenseMatrix<Cplx> acBase;
@@ -102,18 +249,26 @@ device::MosOpPoint Simulator::evalMos(const circuit::Mos& mos,
                                       const std::vector<double>& x) const {
   auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
   const double vd = v(mos.drain), vg = v(mos.gate), vs = v(mos.source), vb = v(mos.bulk);
-  if (mos.vtoDelta != 0.0 || mos.kpScale != 1.0) {
-    // Per-device mismatch knobs (Monte Carlo statistical verification).
-    tech::MosModelCard card = tech_.card(mos.type);
-    card.vto += mos.vtoDelta;
-    card.kp *= mos.kpScale;
-    const device::MosOpPoint op =
-        model_.evaluate(card, mos.geo, vg - vs, vd - vs, vb - vs, options_.tempK);
-    return scaleByMult(op, mos.mult);
-  }
-  const device::MosOpPoint op = model_.evaluate(tech_.card(mos.type), mos.geo, vg - vs,
-                                                vd - vs, vb - vs, options_.tempK);
+  const device::MosOpPoint op =
+      withDeviceCard(tech_, mos, [&](const tech::MosModelCard& card) {
+        return model_.evaluate(card, mos.geo, vg - vs, vd - vs, vb - vs, options_.tempK);
+      });
   return scaleByMult(op, mos.mult);
+}
+
+device::MosStamp Simulator::evalMosStamp(const circuit::Mos& mos,
+                                         const std::vector<double>& x) const {
+  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
+  const double vd = v(mos.drain), vg = v(mos.gate), vs = v(mos.source), vb = v(mos.bulk);
+  device::MosStamp s = withDeviceCard(tech_, mos, [&](const tech::MosModelCard& card) {
+    return model_.evaluateStamp(card, mos.geo, vg - vs, vd - vs, vb - vs, options_.tempK);
+  });
+  // The multiplier scaling scaleByMult applies to the same four fields.
+  s.id *= mos.mult;
+  s.gm *= mos.mult;
+  s.gds *= mos.mult;
+  s.gmb *= mos.mult;
+  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -124,96 +279,50 @@ bool Simulator::newtonSolve(std::vector<double>& x, double gmin, double srcScale
                             int maxIters, int* itersOut) const {
   const std::size_t nUnknowns = unknownCount();
   const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
-  // kFast iterates inside the workspace arena; kReference keeps the
-  // original buffers-per-call shape.  Both run the same arithmetic on the
-  // same values, so the solutions are bit-identical.
+  auto sourceValue = [srcScale](const circuit::Waveform& w) { return srcScale * w.dcValue(); };
+  // kFast stamps the linear skeleton and source RHS once per call, then
+  // iterates inside the workspace arena with the stamp-only device
+  // evaluation and a factor/solve LU.  kReference keeps the original
+  // re-assemble-per-iteration, buffers-per-call shape.  Both run the same
+  // arithmetic on the same values, so the solutions are bit-identical.
   const bool fast = options_.solver == SolverMode::kFast;
   DenseMatrix<double> aLocal;
   std::vector<double> rhsLocal;
-  DenseMatrix<double>& a = fast ? ws().a : aLocal;
-  std::vector<double>& rhs = fast ? ws().rhs : rhsLocal;
-  if (a.size() != nUnknowns) a = DenseMatrix<double>(nUnknowns);
-  rhs.resize(nUnknowns);
-
-  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };  // Ground maps to -1.
-  auto v = [&](NodeId n) { return n == circuit::kGround ? 0.0 : x[n - 1]; };
+  if (fast) {
+    Workspace& wk = ws();
+    if (wk.base.size() != nUnknowns) wk.base = DenseMatrix<double>(nUnknowns);
+    stampLinearSkeleton(circuit_, gmin, wk.base);
+    wk.rhsBase.resize(nUnknowns);
+    stampSourceRhs(circuit_, sourceValue, wk.rhsBase);
+  } else {
+    aLocal = DenseMatrix<double>(nUnknowns);
+    rhsLocal.resize(nUnknowns);
+  }
 
   for (int iter = 0; iter < maxIters; ++iter) {
-    a.clear();
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-
-    for (std::size_t i = 0; i < nNodes; ++i) a.stamp(i, i, gmin);
-
-    for (const circuit::Resistor& r : circuit_.resistors) {
-      const double g = 1.0 / r.ohms;
-      a.stamp(idx(r.a), idx(r.a), g);
-      a.stamp(idx(r.b), idx(r.b), g);
-      a.stamp(idx(r.a), idx(r.b), -g);
-      a.stamp(idx(r.b), idx(r.a), -g);
-    }
-
-    for (const circuit::ISource& s : circuit_.isources) {
-      const double i0 = srcScale * s.wave.dcValue();
-      if (idx(s.pos) >= 0) rhs[idx(s.pos)] -= i0;
-      if (idx(s.neg) >= 0) rhs[idx(s.neg)] += i0;
-    }
-
-    std::size_t branch = nNodes;
-    for (const circuit::VSource& s : circuit_.vsources) {
-      a.stamp(idx(s.pos), branch, 1.0);
-      a.stamp(idx(s.neg), branch, -1.0);
-      a.stamp(branch, idx(s.pos), 1.0);
-      a.stamp(branch, idx(s.neg), -1.0);
-      rhs[branch] = srcScale * s.wave.dcValue();
-      ++branch;
-    }
-    for (const circuit::Vcvs& e : circuit_.vcvs) {
-      a.stamp(idx(e.pos), branch, 1.0);
-      a.stamp(idx(e.neg), branch, -1.0);
-      a.stamp(branch, idx(e.pos), 1.0);
-      a.stamp(branch, idx(e.neg), -1.0);
-      a.stamp(branch, idx(e.cp), -e.gain);
-      a.stamp(branch, idx(e.cn), e.gain);
-      ++branch;
-    }
-
-    for (const circuit::Mos& m : circuit_.mosfets) {
-      const device::MosOpPoint op = evalMos(m, x);
-      const double vgs = v(m.gate) - v(m.source);
-      const double vds = v(m.drain) - v(m.source);
-      const double vbs = v(m.bulk) - v(m.source);
-      // Linearised drain current i_d = Ieq + gm vgs + gds vds + gmb vbs.
-      const double ieq = op.id - op.gm * vgs - op.gds * vds - op.gmb * vbs;
-      const auto d = idx(m.drain), g = idx(m.gate), s = idx(m.source), b = idx(m.bulk);
-      a.stamp(d, g, op.gm);
-      a.stamp(d, d, op.gds);
-      a.stamp(d, b, op.gmb);
-      a.stamp(d, s, -(op.gm + op.gds + op.gmb));
-      a.stamp(s, g, -op.gm);
-      a.stamp(s, d, -op.gds);
-      a.stamp(s, b, -op.gmb);
-      a.stamp(s, s, op.gm + op.gds + op.gmb);
-      if (d >= 0) rhs[d] -= ieq;
-      if (s >= 0) rhs[s] += ieq;
-    }
-
-    std::vector<double> xNewLocal;
-    std::vector<double>& xNew = fast ? ws().xNew : xNewLocal;
-    if (fast) {
-      xNew.assign(rhs.begin(), rhs.end());
-    } else {
-      xNewLocal = rhs;
-    }
-    if (!luSolve(a, xNew)) return false;
-
+    std::size_t worst = 0;
     double maxDelta = 0.0;
-    for (std::size_t i = 0; i < nUnknowns; ++i) {
-      double delta = xNew[i] - x[i];
-      const double limit = i < nNodes ? options_.maxStepV : 1e9;  // Damp voltages only.
-      delta = std::clamp(delta, -limit, limit);
-      x[i] += delta;
-      maxDelta = std::max(maxDelta, std::abs(delta) /
-                                        (options_.absTolV + options_.relTol * std::abs(x[i])));
+    if (fast) {
+      Workspace& wk = ws();
+      wk.a = wk.base;
+      wk.xNew = wk.rhsBase;  // Built and solved in place.
+      for (const circuit::Mos& m : circuit_.mosfets) {
+        stampMos(m, evalMosStamp(m, x), x, wk.a, wk.xNew);
+      }
+      if (!luFactorize(wk.a, wk.perm)) return false;
+      ++stats_.luFactorizations;
+      luSolveFactored(wk.a, wk.perm, wk.xNew);
+      ++stats_.luSolves;
+      maxDelta = applyNewtonUpdate(options_, nNodes, wk.xNew, x, worst);
+    } else {
+      stampLinearSkeleton(circuit_, gmin, aLocal);
+      stampSourceRhs(circuit_, sourceValue, rhsLocal);
+      for (const circuit::Mos& m : circuit_.mosfets) {
+        stampMos(m, stampOf(evalMos(m, x)), x, aLocal, rhsLocal);
+      }
+      std::vector<double> xNew = rhsLocal;
+      if (!luSolve(aLocal, xNew)) return false;
+      maxDelta = applyNewtonUpdate(options_, nNodes, xNew, x, worst);
     }
     ++stats_.newtonIterations;
     if (itersOut) ++*itersOut;
@@ -827,7 +936,160 @@ double integratePsd(const std::vector<NoisePoint>& points, double f0, double f1,
 
 std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
   if (tStop <= 0 || dt <= 0) throw std::invalid_argument("transient: bad time arguments");
+  if (options_.solver == SolverMode::kReference) return transientReference(tStop, dt);
 
+  // The fast path reproduces transientReference bit for bit.  Each Newton
+  // iteration's matrix is a copy of the linear skeleton (stamped once per
+  // analysis), then the MOS stamps, then the step's recorded capacitor
+  // companions; its RHS is the step's source base, then the same MOS and
+  // capacitor terms -- every entry sees the reference's additions in the
+  // reference's order.  The start-of-step device evaluation that sets the
+  // MOS capacitances runs at the same x as iteration 0, so its stamp half
+  // serves iteration 0; later iterations use the stamp-only evaluation.
+  Workspace& wk = ws();
+  const std::size_t nUnknowns = unknownCount();
+  const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
+  const std::size_t nMos = circuit_.mosfets.size();
+  auto idx = [](NodeId n) -> std::ptrdiff_t { return n - 1; };
+  auto vOf = [](const std::vector<double>& vec, NodeId n) {
+    return n == circuit::kGround ? 0.0 : vec[n - 1];
+  };
+
+  // Capacitor branches: explicit caps first, then 5 per MOS.
+  std::vector<TranCapBranch>& caps = wk.caps;
+  caps.clear();
+  for (const circuit::Capacitor& c : circuit_.capacitors) {
+    caps.push_back({c.a, c.b, c.farads, 0});
+  }
+  const std::size_t mosCapBase = caps.size();
+  for (const circuit::Mos& m : circuit_.mosfets) {
+    caps.push_back({m.gate, m.source, 0, 0});
+    caps.push_back({m.gate, m.drain, 0, 0});
+    caps.push_back({m.gate, m.bulk, 0, 0});
+    caps.push_back({m.drain, m.bulk, 0, 0});
+    caps.push_back({m.source, m.bulk, 0, 0});
+  }
+
+  // Start from the DC operating point (sources at their t=0 values).
+  const DcSolution op0 = dcOperatingPoint();
+  std::vector<double> x(nUnknowns, 0.0);
+  for (int n = 1; n < circuit_.nodeCount(); ++n) x[n - 1] = op0.nodeVoltages[n];
+  for (std::size_t i = 0; i < circuit_.vsources.size(); ++i) {
+    x[nNodes + i] = op0.vsourceCurrents[i];
+  }
+
+  const int steps = static_cast<int>(std::ceil(tStop / dt));
+  std::vector<TranPoint> out;
+  out.reserve(static_cast<std::size_t>(steps) + 1);
+  auto record = [&](double t) {
+    TranPoint p;
+    p.time = t;
+    p.nodeV.assign(circuit_.nodeCount(), 0.0);
+    for (int n = 1; n < circuit_.nodeCount(); ++n) p.nodeV[n] = x[n - 1];
+    out.push_back(std::move(p));
+  };
+  record(0.0);
+
+  if (wk.base.size() != nUnknowns) wk.base = DenseMatrix<double>(nUnknowns);
+  stampLinearSkeleton(circuit_, options_.gminFloor, wk.base);
+  wk.rhsBase.resize(nUnknowns);
+  wk.stepStamps.resize(nMos);
+
+  for (int step = 1; step <= steps; ++step) {
+    const double t = std::min(step * dt, tStop);
+    // Start-of-step bias: MOS capacitances, and iteration 0's stamps.
+    for (std::size_t i = 0; i < nMos; ++i) {
+      const device::MosOpPoint op = evalMos(circuit_.mosfets[i], x);
+      caps[mosCapBase + 5 * i + 0].c = op.cgs;
+      caps[mosCapBase + 5 * i + 1].c = op.cgd;
+      caps[mosCapBase + 5 * i + 2].c = op.cgb;
+      caps[mosCapBase + 5 * i + 3].c = op.cdb;
+      caps[mosCapBase + 5 * i + 4].c = op.csb;
+      wk.stepStamps[i] = stampOf(op);
+    }
+    wk.xPrev = x;
+    const std::vector<double>& xPrev = wk.xPrev;
+    stampSourceRhs(circuit_, [t](const circuit::Waveform& w) { return w.at(t); },
+                   wk.rhsBase);
+    // Trapezoidal capacitor companions, constant across the step.
+    wk.capStamps.clear();
+    for (const TranCapBranch& cb : caps) {
+      if (cb.c <= 0) continue;
+      const double geq = 2.0 * cb.c / dt;
+      const double vPrev = vOf(xPrev, cb.a) - vOf(xPrev, cb.b);
+      wk.capStamps.push_back({idx(cb.a), idx(cb.b), geq, geq * vPrev + cb.iPrev});
+    }
+
+    bool converged = false;
+    std::size_t worst = 0;
+    for (int iter = 0; iter < options_.maxNewtonIters; ++iter) {
+      DenseMatrix<double>& a = wk.a;
+      std::vector<double>& rhs = wk.xNew;  // Built and solved in place.
+      a = wk.base;
+      rhs = wk.rhsBase;
+      for (std::size_t i = 0; i < nMos; ++i) {
+        const circuit::Mos& m = circuit_.mosfets[i];
+        stampMos(m, iter == 0 ? wk.stepStamps[i] : evalMosStamp(m, x), x, a, rhs);
+      }
+      for (const TranCapStamp& cs : wk.capStamps) {
+        a.stamp(cs.a, cs.a, cs.geq);
+        a.stamp(cs.b, cs.b, cs.geq);
+        a.stamp(cs.a, cs.b, -cs.geq);
+        a.stamp(cs.b, cs.a, -cs.geq);
+        if (cs.a >= 0) rhs[cs.a] += cs.ieq;
+        if (cs.b >= 0) rhs[cs.b] -= cs.ieq;
+      }
+      if (!luFactorize(a, wk.perm)) throw SimulationError("transient: singular matrix");
+      ++stats_.luFactorizations;
+      luSolveFactored(a, wk.perm, rhs);
+      ++stats_.luSolves;
+      const double maxDelta = applyNewtonUpdate(options_, nNodes, rhs, x, worst);
+      ++stats_.tranNewtonIterations;
+      if (maxDelta < 1.0 && iter > 0) {
+        converged = true;
+        break;
+      }
+    }
+    if (!converged) throwTransientNewtonFailure(step, t, options_.maxNewtonIters, worst);
+    ++stats_.tranSteps;
+    // Commit capacitor branch currents for the next step.
+    for (TranCapBranch& cb : caps) {
+      if (cb.c <= 0) continue;
+      const double geq = 2.0 * cb.c / dt;
+      const double vPrev = vOf(xPrev, cb.a) - vOf(xPrev, cb.b);
+      const double vNow = vOf(x, cb.a) - vOf(x, cb.b);
+      cb.iPrev = geq * (vNow - vPrev) - cb.iPrev;
+    }
+    record(t);
+  }
+  return out;
+}
+
+void Simulator::throwTransientNewtonFailure(int step, double t, int iters,
+                                            std::size_t worstUnknown) const {
+  const std::size_t nNodes = static_cast<std::size_t>(circuit_.nodeCount() - 1);
+  std::string where;
+  if (worstUnknown < nNodes) {
+    where = "node " + circuit_.nodeName(static_cast<NodeId>(worstUnknown + 1));
+  } else if (worstUnknown - nNodes < circuit_.vsources.size()) {
+    where = "branch of V source " + circuit_.vsources[worstUnknown - nNodes].name;
+  } else {
+    where = "branch of VCVS " +
+            circuit_.vcvs[worstUnknown - nNodes - circuit_.vsources.size()].name;
+  }
+  char head[128];
+  std::snprintf(head, sizeof(head),
+                "transient: Newton failed at step %d (t=%.6g s) after %d iterations", step,
+                t, iters);
+  throw SimulationError(std::string(head) + "; largest last update at " + where);
+}
+
+// Reference transient: the pre-optimization loop, kept as the golden
+// baseline.  It re-assembles the whole matrix every iteration, runs the
+// full device evaluation at the step start and again in every iteration,
+// and allocates per step and per iteration.  Only its failure message and
+// counters are shared with the fast path.
+std::vector<TranPoint> Simulator::transientReference(double tStop, double dt) const {
   // Capacitor branch bookkeeping: explicit caps first, then 5 per MOS.
   struct CapBranch {
     NodeId a = circuit::kGround, b = circuit::kGround;
@@ -889,6 +1151,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
     const std::vector<double> xPrev = x;
 
     bool converged = false;
+    std::size_t worst = 0;
     for (int iter = 0; iter < options_.maxNewtonIters; ++iter) {
       a.clear();
       std::fill(rhs.begin(), rhs.end(), 0.0);
@@ -956,14 +1219,7 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
         if (idx(cb.b) >= 0) rhs[idx(cb.b)] -= ieq;
       }
 
-      std::vector<double> xNewLocal;
-      std::vector<double>& xNew =
-          options_.solver == SolverMode::kFast ? ws().xNew : xNewLocal;
-      if (options_.solver == SolverMode::kFast) {
-        xNew.assign(rhs.begin(), rhs.end());
-      } else {
-        xNewLocal = rhs;
-      }
+      std::vector<double> xNew = rhs;
       if (!luSolve(a, xNew)) throw SimulationError("transient: singular matrix");
       double maxDelta = 0.0;
       for (std::size_t i = 0; i < nUnknowns; ++i) {
@@ -971,17 +1227,21 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
         const double limit = i < nNodes ? options_.maxStepV : 1e9;
         delta = std::clamp(delta, -limit, limit);
         x[i] += delta;
-        maxDelta = std::max(maxDelta, std::abs(delta) / (options_.absTolV +
-                                                         options_.relTol * std::abs(x[i])));
+        const double scaled =
+            std::abs(delta) / (options_.absTolV + options_.relTol * std::abs(x[i]));
+        if (scaled > maxDelta) {
+          maxDelta = scaled;
+          worst = i;
+        }
       }
+      ++stats_.tranNewtonIterations;
       if (maxDelta < 1.0 && iter > 0) {
         converged = true;
         break;
       }
     }
-    if (!converged) {
-      throw SimulationError("transient: Newton failed at t=" + std::to_string(t));
-    }
+    if (!converged) throwTransientNewtonFailure(step, t, options_.maxNewtonIters, worst);
+    ++stats_.tranSteps;
     // Commit capacitor branch currents for the next step.
     for (CapBranch& cb : caps) {
       if (cb.c <= 0) continue;

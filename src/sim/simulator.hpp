@@ -22,14 +22,19 @@ namespace lo::sim {
 /// golden solver tests prove it); they differ only in how much work and
 /// memory traffic they spend getting there.
 enum class SolverMode {
-  /// LU factor reuse across the AC excitation block, skeleton re-stamping
-  /// of only the reactive matrix entries per frequency, and a
-  /// simulator-owned workspace so the Newton loop allocates nothing.
+  /// LU factor/solve split with simulator-owned pivots.  AC: factor reuse
+  /// across the excitation block and skeleton re-stamping of only the
+  /// reactive entries per frequency.  Newton (DC and transient): the
+  /// time-invariant matrix stamped once per solve or analysis, and the
+  /// stamp-only device evaluation.  Transient also builds the source RHS
+  /// and capacitor companions once per step, reuses the start-of-step
+  /// device evaluation as iteration 0's stamps, and keeps the step state
+  /// in the workspace, so a step allocates only its returned sample.
   kFast,
   /// The pre-optimization path: one-shot LU per solve, full re-assembly
-  /// per frequency, fresh buffers per call.  Kept alive verbatim as the
-  /// golden baseline the fast path is benchmarked and bit-compared
-  /// against.
+  /// per frequency and per Newton iteration, full device evaluation per
+  /// stamp, fresh buffers per call.  Kept alive verbatim as the golden
+  /// baseline the fast path is benchmarked and bit-compared against.
   kReference,
 };
 
@@ -47,11 +52,13 @@ struct SimOptions {
 /// only -- never part of any analysis result.
 struct SimStats {
   long newtonIterations = 0;  ///< Newton steps across every DC solve.
-  long luFactorizations = 0;  ///< Complex factorizations (fast AC/noise path).
-  long luSolves = 0;          ///< Triangular solves against reused factors.
+  long luFactorizations = 0;  ///< LU factorizations on the fast path (DC, transient, AC/noise).
+  long luSolves = 0;          ///< Triangular solves against stored factors.
   long acPoints = 0;          ///< (frequency, excitation) pairs solved.
   long warmStartHits = 0;     ///< Warm operating points solved from the seed.
   long warmStartMisses = 0;   ///< Warm attempts that fell back to the cold ladder.
+  long tranSteps = 0;             ///< Accepted transient time steps (both modes).
+  long tranNewtonIterations = 0;  ///< Newton steps inside transient time steps (both modes).
 };
 
 /// One excitation of the shared AC small-signal system.  The system matrix
@@ -212,7 +219,10 @@ class Simulator {
                                               const std::string& inputVsrc, double fStart,
                                               double fStop, int pointsPerDecade) const;
 
-  /// Fixed-step trapezoidal transient from the DC operating point.
+  /// Fixed-step trapezoidal transient from the DC operating point.  A step
+  /// whose Newton loop does not converge throws SimulationError naming the
+  /// step, its time, the iterations spent and the node or source branch
+  /// with the largest last update (identical text in both solver modes).
   [[nodiscard]] std::vector<TranPoint> transient(double tStop, double dt) const;
 
   [[nodiscard]] const SimOptions& options() const { return options_; }
@@ -229,6 +239,11 @@ class Simulator {
   [[nodiscard]] DcSolution finalizeSolution(const std::vector<double>& x, int iters) const;
   [[nodiscard]] device::MosOpPoint evalMos(const circuit::Mos& mos,
                                            const std::vector<double>& x) const;
+  [[nodiscard]] device::MosStamp evalMosStamp(const circuit::Mos& mos,
+                                              const std::vector<double>& x) const;
+  [[nodiscard]] std::vector<TranPoint> transientReference(double tStop, double dt) const;
+  [[noreturn]] void throwTransientNewtonFailure(int step, double t, int iters,
+                                                std::size_t worstUnknown) const;
   [[nodiscard]] std::size_t unknownCount() const;
   void packContinuation(const DcSolution& sol, std::vector<double>& x) const;
   [[nodiscard]] AcPoint extractAcPoint(double freq,

@@ -6,8 +6,6 @@
 
 namespace lo::sizing {
 
-namespace {
-
 using circuit::Circuit;
 using circuit::FoldedCascodeOtaDesign;
 using circuit::NodeId;
@@ -30,8 +28,6 @@ Circuit buildSlewTestbench(const AmpInstantiateFn& instantiate, double inputCm,
   if (parasitics) layout::annotateCircuit(c, *parasitics);
   return c;
 }
-
-}  // namespace
 
 FoldedCascodeOtaDesign applyExtractedGeometry(
     FoldedCascodeOtaDesign design,

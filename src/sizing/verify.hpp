@@ -64,6 +64,13 @@ using AmpInstantiateFn = std::function<void(circuit::Circuit&)>;
                                                    double diffAcMag, double cmAcMag,
                                                    double routProbeAcMag);
 
+/// The slew / settling testbench (exposed for tests): hard unity feedback
+/// and a +/- input step of options.stepAmplitude about `inputCm`.
+[[nodiscard]] circuit::Circuit buildSlewTestbench(const AmpInstantiateFn& instantiate,
+                                                  double inputCm,
+                                                  const layout::ParasiticReport* parasitics,
+                                                  const VerifyOptions& options);
+
 class OtaVerifier {
  public:
   OtaVerifier(const tech::Technology& t, const device::MosModel& model,

@@ -9,11 +9,28 @@
 
 namespace lo::verify {
 
-namespace {
-
 using circuit::Circuit;
 using circuit::NodeId;
 using circuit::Waveform;
+
+Circuit buildThdTestbench(const sizing::AmpInstantiateFn& instantiate, double inputCm,
+                          const layout::ParasiticReport* parasitics,
+                          const VerificationOptions& options) {
+  Circuit c;
+  c.title = "thd testbench";
+  instantiate(c);
+  const NodeId out = *c.findNode("out");
+  const NodeId inn = *c.findNode("inn");
+  const NodeId inp = *c.findNode("inp");
+  c.addVSource("VSHORT", out, inn, Waveform::makeDc(0.0));
+  c.addVSource("VIN", inp, circuit::kGround,
+               Waveform::makeSin(inputCm, options.thdAmplitudeV,
+                                 options.thdFundamentalHz));
+  if (parasitics) layout::annotateCircuit(c, *parasitics);
+  return c;
+}
+
+namespace {
 
 void requireUsable(const VerificationSetup& setup, const VerificationOptions& options) {
   if (!setup.supported || !setup.preLayout || !setup.postLayout) {
@@ -45,23 +62,14 @@ sim::SimOptions simOptionsFor(const tech::Technology& t,
   return opt;
 }
 
-/// Hard unity buffer driven by the verify tone; returns the steady-state
-/// THD of the output waveform.
+/// Returns the steady-state THD of the output waveform of the
+/// buildThdTestbench buffer.
 double measureThd(const tech::Technology& t, const device::MosModel& model,
                   const sizing::AmpInstantiateFn& instantiate, double inputCm,
                   const layout::ParasiticReport* parasitics,
                   const VerificationOptions& options) {
-  Circuit c;
-  c.title = "thd testbench";
-  instantiate(c);
+  const Circuit c = buildThdTestbench(instantiate, inputCm, parasitics, options);
   const NodeId out = *c.findNode("out");
-  const NodeId inn = *c.findNode("inn");
-  const NodeId inp = *c.findNode("inp");
-  c.addVSource("VSHORT", out, inn, Waveform::makeDc(0.0));
-  c.addVSource("VIN", inp, circuit::kGround,
-               Waveform::makeSin(inputCm, options.thdAmplitudeV,
-                                 options.thdFundamentalHz));
-  if (parasitics) layout::annotateCircuit(c, *parasitics);
 
   const double period = 1.0 / options.thdFundamentalHz;
   const double dt = period / options.thdSamplesPerCycle;

@@ -118,6 +118,13 @@ struct VerificationSetup {
   double vdd = 0.0;
 };
 
+/// The THD testbench (exposed for tests): a hard unity buffer driven by
+/// the verify tone about `inputCm`.
+[[nodiscard]] circuit::Circuit buildThdTestbench(const sizing::AmpInstantiateFn& instantiate,
+                                                 double inputCm,
+                                                 const layout::ParasiticReport* parasitics,
+                                                 const VerificationOptions& options);
+
 /// Measure THD, output swing and ICMR for one netlist (offset and PSRR
 /// come from sizing::measureAmplifier's core record).  Exposed for tests.
 [[nodiscard]] ExtendedMeasures measureExtended(

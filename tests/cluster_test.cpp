@@ -130,7 +130,9 @@ TEST(ShardProcessTest, DeathSurfacesAsEofNotAHang) {
 
 TEST(ShardProcessTest, WedgedChildTimesOutAndKill9Reaps) {
   ShardProcess child;
-  child.spawn({"sh", "-c", "sleep 30"});
+  // exec: the shell becomes the sleep, so kill9() reaps the process that
+  // holds the stderr pipe instead of orphaning a sleep that keeps it open.
+  child.spawn({"sh", "-c", "exec sleep 30"});
   std::string line;
   EXPECT_EQ(child.readLine(line, 0.2), ReadStatus::kTimeout);
   child.kill9();

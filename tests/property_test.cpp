@@ -2,7 +2,10 @@
 // driving invariants that must hold for any input.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <random>
+#include <string>
 
 #include "circuit/spice_io.hpp"
 #include "core/flow.hpp"
@@ -112,6 +115,57 @@ TEST_P(ModelGrid, InvariantsHoldAcrossTheGrid) {
 INSTANTIATE_TEST_SUITE_P(ModelsAndSeeds, ModelGrid,
                          ::testing::Combine(::testing::Values("level1", "ekv"),
                                             ::testing::Values(7, 11)));
+
+// --- Stamp-only device evaluation: bit-equal to evaluate()'s fields. ---
+
+class StampGrid : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
+
+TEST_P(StampGrid, StampFieldsBitEqualToEvaluate) {
+  // The Newton loops stamp from evaluateStamp(); evaluate() feeds the
+  // capacitances and op reports.  Both come from one stencil, so the four
+  // shared fields must agree to the bit -- for both polarities, forward
+  // and reverse (vds < 0, source/drain swapped) bias, off and on devices,
+  // and away from the nominal temperature.
+  const auto model = device::MosModel::create(std::get<0>(GetParam()));
+  std::mt19937 rng(std::get<1>(GetParam()));
+  std::uniform_real_distribution<double> wDist(1e-6, 200e-6);
+  std::uniform_real_distribution<double> lDist(0.6e-6, 5e-6);
+  std::uniform_real_distribution<double> vgsDist(-0.5, 3.5);
+  std::uniform_real_distribution<double> vdsDist(-3.3, 3.3);
+  std::uniform_real_distribution<double> vbsDist(-2.5, 0.2);
+  auto bits = [](double v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+
+  int reverse = 0;
+  for (int i = 0; i < 200; ++i) {
+    device::MosGeometry geo;
+    geo.w = wDist(rng);
+    geo.l = lDist(rng);
+    device::applyUnfoldedGeometry(kTech.rules, geo);
+    const tech::MosModelCard& card = i % 2 == 0 ? kTech.nmos : kTech.pmos;
+    const double tempK = i % 5 == 0 ? 400.0 : kTech.temperature;
+    // Terminal voltages with real polarity: PMOS biases are mirrored.
+    const double p = card.polarity();
+    const double vgs = p * vgsDist(rng), vds = p * vdsDist(rng), vbs = p * vbsDist(rng);
+    if (p * vds < 0.0) ++reverse;
+
+    const device::MosOpPoint op = model->evaluate(card, geo, vgs, vds, vbs, tempK);
+    const device::MosStamp st = model->evaluateStamp(card, geo, vgs, vds, vbs, tempK);
+    EXPECT_EQ(bits(st.id), bits(op.id)) << "i=" << i << " vgs=" << vgs << " vds=" << vds;
+    EXPECT_EQ(bits(st.gm), bits(op.gm)) << "i=" << i;
+    EXPECT_EQ(bits(st.gds), bits(op.gds)) << "i=" << i;
+    EXPECT_EQ(bits(st.gmb), bits(op.gmb)) << "i=" << i;
+  }
+  EXPECT_GT(reverse, 40) << "the grid must reach reverse-mode bias";
+}
+
+INSTANTIATE_TEST_SUITE_P(ModelsAndSeeds, StampGrid,
+                         ::testing::Combine(::testing::Values(std::string("level1"),
+                                                              std::string("ekv")),
+                                            ::testing::Values(3, 17, 29)));
 
 // --- Slicing invariants on random trees. ---
 

@@ -19,6 +19,9 @@
 
 #include "circuit/ota.hpp"
 #include "circuit/two_stage.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
+#include "core/two_stage_topology.hpp"
 #include "device/folding.hpp"
 #include "sim/measure.hpp"
 #include "sim/simulator.hpp"
@@ -26,6 +29,7 @@
 #include "sizing/two_stage.hpp"
 #include "sizing/verify.hpp"
 #include "tech/technology.hpp"
+#include "verify/verify.hpp"
 
 namespace lo::sim {
 namespace {
@@ -420,6 +424,156 @@ TEST(SimGolden, MeasureAmplifierMatchesLegacyFourCircuitStructure) {
     EXPECT_BIT_EQ(p.psrrDb, legacyPsrr);
     EXPECT_BIT_EQ(p.outputResistanceMOhm, legacyRout);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Transient fast path: the post-layout verification testbenches, a netlist
+// touching every stamp kind of the transient skeleton, and workspace reuse
+// across analyses.
+
+/// Fast and reference transients of `c` must agree bit for bit, and take
+/// the same Newton trajectory (equal step and iteration counts).
+void expectTransientModesBitEqual(const Circuit& c, const device::MosModel& model,
+                                  double tStop, double dt) {
+  Simulator fast(c, kTech, model, optionsFor(SolverMode::kFast));
+  Simulator ref(c, kTech, model, optionsFor(SolverMode::kReference));
+  const auto tranF = fast.transient(tStop, dt);
+  const auto tranR = ref.transient(tStop, dt);
+  expectTranBitEqual(tranF, tranR);
+  EXPECT_EQ(fast.stats().tranSteps, static_cast<long>(tranF.size()) - 1);
+  EXPECT_EQ(fast.stats().tranSteps, ref.stats().tranSteps);
+  EXPECT_EQ(fast.stats().tranNewtonIterations, ref.stats().tranNewtonIterations);
+  // Every fast-path Newton iteration (DC ladder and transient) factors once.
+  EXPECT_EQ(fast.stats().luFactorizations,
+            fast.stats().newtonIterations + fast.stats().tranNewtonIterations);
+  EXPECT_EQ(ref.stats().luFactorizations, 0);
+}
+
+/// Case-4 engine runs of both topologies; each adapter keeps its extracted
+/// netlist and layout parasitics for the verification setup.
+struct PostLayoutDesigns {
+  std::unique_ptr<device::MosModel> model = device::MosModel::create("ekv");
+  core::FoldedCascodeOtaTopology ota{kTech, *model};
+  core::TwoStageTopology twoStage{kTech, *model};
+  PostLayoutDesigns() {
+    const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+    (void)engine.run(ota, sizing::OtaSpecs{});
+    sizing::OtaSpecs twoStageSpecs;
+    twoStageSpecs.gbw = 30e6;
+    (void)engine.run(twoStage, twoStageSpecs);
+  }
+};
+
+PostLayoutDesigns& postLayoutDesigns() {
+  static PostLayoutDesigns d;
+  return d;
+}
+
+void expectPostLayoutTransientsBitEqual(core::Topology& topology) {
+  const verify::VerificationSetup setup = topology.verificationSetup();
+  ASSERT_TRUE(setup.supported);
+  ASSERT_NE(setup.parasitics, nullptr);
+  const device::MosModel& model = *postLayoutDesigns().model;
+
+  const sizing::VerifyOptions slew;
+  const Circuit slewBench =
+      sizing::buildSlewTestbench(setup.postLayout, setup.inputCm, setup.parasitics, slew);
+  {
+    SCOPED_TRACE("slew");
+    expectTransientModesBitEqual(slewBench, model, slew.tranStop, slew.tranStep);
+  }
+
+  const verify::VerificationOptions thd;
+  const Circuit thdBench =
+      verify::buildThdTestbench(setup.postLayout, setup.inputCm, setup.parasitics, thd);
+  const double period = 1.0 / thd.thdFundamentalHz;
+  {
+    SCOPED_TRACE("thd");
+    expectTransientModesBitEqual(thdBench, model,
+                                 period * (thd.thdSettleCycles + thd.thdCycles),
+                                 period / thd.thdSamplesPerCycle);
+  }
+}
+
+TEST(SimGolden, FoldedCascodePostLayoutTransientsBitIdentical) {
+  expectPostLayoutTransientsBitEqual(postLayoutDesigns().ota);
+}
+
+TEST(SimGolden, TwoStagePostLayoutTransientsBitIdentical) {
+  expectPostLayoutTransientsBitEqual(postLayoutDesigns().twoStage);
+}
+
+/// A small amplifier that exercises every kind of stamp the transient
+/// skeleton, RHS base and companion replay carry: gmin, resistors, V-source
+/// and VCVS incidence, a time-varying I-source and V-source, floating and
+/// grounded capacitors, and MOS devices with mismatch knobs and mult > 1.
+Circuit everyStampKindCircuit() {
+  Circuit c;
+  const auto vdd = c.node("vdd"), in = c.node("in"), gate = c.node("gate");
+  const auto out = c.node("out"), pbias = c.node("pbias"), buf = c.node("buf");
+  device::MosGeometry gn, gp;
+  gn.w = 8e-6;
+  gn.l = 0.8e-6;
+  device::applyUnfoldedGeometry(kTech.rules, gn);
+  gp = gn;
+  gp.w = 12e-6;
+  device::applyUnfoldedGeometry(kTech.rules, gp);
+  c.addVSource("VDD", vdd, circuit::kGround, Waveform::makeDc(3.3));
+  c.addVSource("VBP", pbias, circuit::kGround, Waveform::makeDc(2.2));
+  c.addVSource("VIN", in, circuit::kGround,
+               Waveform::makePulse(0.9, 1.1, 5e-9, 1e-9, 1e-9, 20e-9, 50e-9));
+  c.addResistor("RG", in, gate, 20e3);
+  c.addCapacitor("CM", gate, out, 0.2e-12);             // Floating.
+  c.addCapacitor("CL", out, circuit::kGround, 1e-12);   // Grounded.
+  circuit::Mos& mn =
+      c.addMos("MN", out, gate, circuit::kGround, circuit::kGround, tech::MosType::kNmos,
+               gn, 2.0);
+  mn.vtoDelta = 4e-3;
+  mn.kpScale = 1.03;
+  c.addMos("MP", out, pbias, vdd, vdd, tech::MosType::kPmos, gp, 3.0);
+  c.addISource("IB", out, circuit::kGround, Waveform::makeSin(0.0, 2e-6, 40e6));
+  c.addVcvs("EBUF", buf, circuit::kGround, out, circuit::kGround, 0.5);
+  c.addResistor("RL", buf, circuit::kGround, 10e3);
+  c.addCapacitor("CB", buf, circuit::kGround, 0.1e-12);
+  return c;
+}
+
+TEST(SimGolden, EveryTransientStampKindBitIdentical) {
+  const Circuit c = everyStampKindCircuit();
+  for (const char* modelName : {"level1", "ekv"}) {
+    SCOPED_TRACE(modelName);
+    const auto model = device::MosModel::create(modelName);
+    expectTransientModesBitEqual(c, *model, 60e-9, 0.25e-9);
+  }
+}
+
+TEST(SimGolden, ReusedSimulatorTransientsMatchFreshReference) {
+  // One fast Simulator carried through DC, sweep, AC and three transients
+  // at two step sizes: no workspace state may leak from one analysis into
+  // the next.  Each result is compared with a fresh reference Simulator.
+  const Circuit c = everyStampKindCircuit();
+  const auto model = device::MosModel::create("ekv");
+  Simulator fast(c, kTech, *model, optionsFor(SolverMode::kFast));
+  auto freshRef = [&] {
+    return std::make_unique<Simulator>(c, kTech, *model, optionsFor(SolverMode::kReference));
+  };
+
+  const auto sweepF = fast.dcSweep("VIN", 0.5, 1.5, 11);
+  const auto sweepR = freshRef()->dcSweep("VIN", 0.5, 1.5, 11);
+  ASSERT_EQ(sweepF.size(), sweepR.size());
+  for (std::size_t i = 0; i < sweepF.size(); ++i) {
+    expectSolutionBitEqual(sweepF[i].solution, sweepR[i].solution);
+  }
+  const DcSolution opF = fast.dcOperatingPoint();
+  const DcSolution opR = freshRef()->dcOperatingPoint();
+  expectSolutionBitEqual(opF, opR);
+  expectAcBitEqual(fast.ac(opF, 1e3, 1e9, 4), freshRef()->ac(opR, 1e3, 1e9, 4));
+
+  const double dt = 0.5e-9;
+  const auto first = fast.transient(40e-9, dt);
+  expectTranBitEqual(first, freshRef()->transient(40e-9, dt));
+  expectTranBitEqual(fast.transient(40e-9, dt / 2), freshRef()->transient(40e-9, dt / 2));
+  expectTranBitEqual(fast.transient(40e-9, dt), first);
 }
 
 TEST(SimGolden, DigestOfFullAnalysisSetMatchesAcrossModes) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "device/folding.hpp"
 #include "sim/measure.hpp"
@@ -120,6 +121,79 @@ TEST(SimTran, EnergyConservationOnLinearRc) {
   const auto tran = sim.transient(50e-6, 50e-9);  // 50 tau.
   const auto outId = *c.findNode("out");
   EXPECT_NEAR(tran.back().nodeV[outId], 1.0, 1e-6);
+}
+
+TEST(SimTran, CountersTrackStepsIterationsAndFactorizations) {
+  Circuit c;
+  const auto in = c.node("in"), out = c.node("out"), vdd = c.node("vdd");
+  device::MosGeometry geo;
+  geo.w = 50e-6;
+  geo.l = 0.6e-6;
+  device::applyUnfoldedGeometry(kTech.rules, geo);
+  c.addVSource("VDD", vdd, circuit::kGround, Waveform::makeDc(3.3));
+  c.addVSource("VIN", in, circuit::kGround,
+               Waveform::makePulse(2.0, 2.5, 20e-9, 1e-9, 1e-9, 1e-6, 2e-6));
+  c.addMos("M1", vdd, in, out, out, tech::MosType::kNmos, geo);
+  c.addISource("IB", out, circuit::kGround, Waveform::makeDc(100e-6));
+  c.addCapacitor("CL", out, circuit::kGround, 1e-12);
+  const auto model = device::MosModel::create("ekv");
+
+  SimStats stats[2];
+  for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    SimOptions opt;
+    opt.solver = mode;
+    Simulator sim(c, kTech, *model, opt);
+    EXPECT_EQ(sim.stats().tranSteps, 0);
+    const auto tran = sim.transient(100e-9, 1e-9);
+    const SimStats& s = sim.stats();
+    EXPECT_EQ(s.tranSteps, 100);
+    EXPECT_EQ(static_cast<long>(tran.size()), s.tranSteps + 1);
+    // Every step runs at least two Newton iterations (the forced second).
+    EXPECT_GE(s.tranNewtonIterations, 2 * s.tranSteps);
+    stats[mode == SolverMode::kFast ? 0 : 1] = s;
+  }
+  // Same Newton trajectory in both modes; only the fast path factors
+  // (once per iteration, DC ladder included).
+  EXPECT_EQ(stats[0].tranNewtonIterations, stats[1].tranNewtonIterations);
+  EXPECT_EQ(stats[0].luFactorizations,
+            stats[0].newtonIterations + stats[0].tranNewtonIterations);
+  EXPECT_EQ(stats[0].luSolves, stats[0].luFactorizations);
+  EXPECT_EQ(stats[1].luFactorizations, 0);
+}
+
+TEST(SimTran, NewtonFailureNamesStepTimeIterationsAndWorstUnknown) {
+  // A 100 V input edge against the 0.3 V per-iteration damping limit needs
+  // hundreds of Newton iterations; with a budget of 10 the first step must
+  // fail.  The load capacitor is large enough that "out" settles at once,
+  // so "in" carries the largest last update.  The DC operating point at
+  // t = 0 (input at 0 V) converges within the same budget.
+  Circuit c;
+  const auto in = c.node("in"), out = c.node("out");
+  c.addVSource("VIN", in, circuit::kGround,
+               Waveform::makePulse(0.0, 100.0, 0.0, 1e-12, 1e-12, 1.0, 2.0));
+  c.addResistor("R1", in, out, 1e3);
+  c.addCapacitor("C1", out, circuit::kGround, 1e-6);
+  const auto model = device::MosModel::create("level1");
+
+  std::string messages[2];
+  for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    SimOptions opt;
+    opt.solver = mode;
+    opt.maxNewtonIters = 10;
+    Simulator sim(c, kTech, *model, opt);
+    try {
+      (void)sim.transient(10e-9, 1e-9);
+      ADD_FAILURE() << "transient must fail";
+    } catch (const SimulationError& e) {
+      messages[mode == SolverMode::kFast ? 0 : 1] = e.what();
+    }
+    EXPECT_EQ(sim.stats().tranSteps, 0);
+    EXPECT_EQ(sim.stats().tranNewtonIterations, 10);
+  }
+  EXPECT_EQ(messages[0],
+            "transient: Newton failed at step 1 (t=1e-09 s) after 10 iterations; "
+            "largest last update at node in");
+  EXPECT_EQ(messages[0], messages[1]);
 }
 
 }  // namespace
