@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RouterFuzz, ::testing::Range(1, 13));
 
 // --- Device model invariants over a bias/geometry grid. ---
 
-class ModelGrid : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+class ModelGrid : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(ModelGrid, InvariantsHoldAcrossTheGrid) {
   const auto model = device::MosModel::create(std::get<0>(GetParam()));
@@ -113,7 +113,8 @@ TEST_P(ModelGrid, InvariantsHoldAcrossTheGrid) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ModelsAndSeeds, ModelGrid,
-                         ::testing::Combine(::testing::Values("level1", "ekv"),
+                         ::testing::Combine(::testing::Values(std::string("level1"),
+                                                              std::string("ekv")),
                                             ::testing::Values(7, 11)));
 
 // --- Stamp-only device evaluation: bit-equal to evaluate()'s fields. ---
