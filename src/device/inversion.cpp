@@ -33,10 +33,21 @@ double vgsForCurrent(const MosModel& model, const tech::MosModelCard& card,
   if (iHi < targetId) {
     throw std::runtime_error("vgsForCurrent: target current unreachable at vmax");
   }
+  // Once the midpoint rounds onto an endpoint whose side is already known,
+  // every remaining pass would re-evaluate that endpoint and assign it to
+  // itself, so stopping there returns the same bits as running all 80.
+  // The initial lo = 0 was never evaluated and cannot end the loop.
+  bool loTested = false;
   for (int i = 0; i < 80; ++i) {
     const double mid = 0.5 * (lo + hi);
+    if (mid == hi || (mid == lo && loTested)) break;
     const double id = std::abs(model.currentNormalized(card, geo, mid, vds, vbs, tempK));
-    (id < targetId ? lo : hi) = mid;
+    if (id < targetId) {
+      lo = mid;
+      loTested = true;
+    } else {
+      hi = mid;
+    }
   }
   return 0.5 * (lo + hi);
 }

@@ -1,7 +1,9 @@
 #include "device/mos_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -336,23 +338,45 @@ void EkvModel::forwardCurrentBatch(const tech::MosModelCard& card, const MosGeom
   const double kpT = card.kpAt(tempK);
   const double leff = card.leff(geo.l);
   const double va = card.earlyPerMeter * leff;
+  // The gate/source terms depend only on (vg, vs).  A point whose (vg, vs)
+  // bits equal point 0's -- the vds +/- h pair of a derivative stencil --
+  // reuses point 0's terms: same inputs, same operations, same bits.  Bits,
+  // not ==, so -0.0 and +0.0 stay apart; the inputs are already
+  // source/drain flipped, so a pair straddling vds = 0 shares nothing.
+  struct GateTerms {
+    double vp, ispec, iff, vdsat;
+  };
+  const auto gateTerms = [&](double vg, double vs) {
+    GateTerms t;
+    t.vp = pinchOff(card, vg);
+    const double nf = slopeFactorAt(card, t.vp);
+    const double drive = std::max(t.vp - vs, 0.0);
+    const double beta = kpT / (1.0 + card.theta * drive) * geo.w / leff;
+    t.ispec = 2.0 * nf * beta * vt * vt;
+    t.iff = ekvF((t.vp - vs) / vt);
+    t.vdsat = vt * (2.0 * std::sqrt(t.iff) + 4.0);
+    return t;
+  };
+  const auto sameBits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  GateTerms first{};
+  double vg0 = 0.0, vs0 = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const double vg = vgs[i] - vbs[i] + dvto;
     const double vs = -vbs[i];
     const double vd = vds[i] - vbs[i];
 
-    const double vp = pinchOff(card, vg);
-    const double nf = slopeFactorAt(card, vp);
-    const double drive = std::max(vp - vs, 0.0);
-    const double beta = kpT / (1.0 + card.theta * drive) * geo.w / leff;
-    const double ispec = 2.0 * nf * beta * vt * vt;
-
-    const double iff = ekvF((vp - vs) / vt);
-    const double irr = ekvF((vp - vd) / vt);
-    double id = ispec * (iff - irr);
-
-    const double vdsat = vt * (2.0 * std::sqrt(iff) + 4.0);
-    id *= 1.0 + softplus(vds[i] - vdsat, 2.0 * vt) / va;
+    const bool shared = i > 0 && sameBits(vg, vg0) && sameBits(vs, vs0);
+    const GateTerms t = shared ? first : gateTerms(vg, vs);
+    if (i == 0) {
+      first = t;
+      vg0 = vg;
+      vs0 = vs;
+    }
+    const double irr = ekvF((t.vp - vd) / vt);
+    double id = t.ispec * (t.iff - irr);
+    id *= 1.0 + softplus(vds[i] - t.vdsat, 2.0 * vt) / va;
     idOut[i] = id;
   }
 }

@@ -102,7 +102,11 @@ OtaCapBudget OtaEvaluator::capBudget(const FoldedCascodeOtaDesign& d,
 
 OtaPerformance OtaEvaluator::evaluate(const FoldedCascodeOtaDesign& d, const OtaSpecs& specs,
                                       const SizingPolicy& policy) const {
-  const OtaOpSnapshot s = snapshot(d, specs.inputCmMid());
+  return evaluate(d, snapshot(d, specs.inputCmMid()), policy);
+}
+
+OtaPerformance OtaEvaluator::evaluate(const FoldedCascodeOtaDesign& d, const OtaOpSnapshot& s,
+                                      const SizingPolicy& policy) const {
   const OtaCapBudget c = capBudget(d, s, policy);
 
   OtaPerformance p;

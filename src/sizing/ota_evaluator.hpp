@@ -54,6 +54,12 @@ class OtaEvaluator {
                                         const OtaSpecs& specs,
                                         const SizingPolicy& policy) const;
 
+  /// The same row from an already solved `snapshot(design, specs.inputCmMid())`;
+  /// bit-identical to the overload above, which solves it first.
+  [[nodiscard]] OtaPerformance evaluate(const circuit::FoldedCascodeOtaDesign& design,
+                                        const OtaOpSnapshot& snap,
+                                        const SizingPolicy& policy) const;
+
  private:
   const tech::Technology& tech_;
   const device::MosModel& model_;

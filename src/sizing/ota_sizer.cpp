@@ -158,18 +158,26 @@ SizingResult OtaSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
   // and the gm the device actually shows at the solved operating point.
   double gmScale = 1.0;
 
+  // Evaluate once per design: `snap` and `perf` always describe the current
+  // `d`, refreshed right after each buildDesign and reused until the next.
   FoldedCascodeOtaDesign d;
+  OtaOpSnapshot snap;
+  OtaPerformance perf;
+  auto rebuild = [&](double gm1) {
+    buildDesign(specs, policy, choices, gm1, cascodeRatio, d);
+    snap = evaluator_.snapshot(d, specs.inputCmMid());
+    perf = evaluator_.evaluate(d, snap, policy);
+  };
   for (int outer = 0; outer < 20; ++outer) {
     ++result.gbwIterations;
     const double gm1 = 2.0 * M_PI * specs.gbw * cout * gmScale;
-    buildDesign(specs, policy, choices, gm1, cascodeRatio, d);
+    rebuild(gm1);
 
     // Phase-margin loop: more folded-branch current first, then larger gate
     // drives on the non-input devices (smaller, faster devices).  Excess
     // margin is trimmed back so the design lands just above the target and
     // no power is wasted.
     for (int inner = 0; inner < 30; ++inner) {
-      const OtaPerformance perf = evaluator_.evaluate(d, specs, policy);
       if (perf.phaseMarginDeg < specs.phaseMarginDeg) {
         ++result.pmIterations;
         if (cascodeRatio < 1.0) {
@@ -186,13 +194,11 @@ SizingResult OtaSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
       } else {
         break;
       }
-      buildDesign(specs, policy, choices, gm1, cascodeRatio, d);
+      rebuild(gm1);
     }
 
     // Re-estimate the GBW capacitance budget and the realised GBW;
     // converged when both are stable on target.
-    const OtaPerformance perf = evaluator_.evaluate(d, specs, policy);
-    const OtaOpSnapshot snap = evaluator_.snapshot(d, specs.inputCmMid());
     const double coutNew = evaluator_.capBudget(d, snap, policy).out;
     const double gbwError = perf.gbwHz / specs.gbw - 1.0;
     if (std::abs(coutNew - cout) < 2e-3 * cout && std::abs(gbwError) < 5e-3) {
@@ -205,7 +211,7 @@ SizingResult OtaSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
   }
 
   result.design = d;
-  result.predicted = evaluator_.evaluate(d, specs, policy);
+  result.predicted = perf;
   result.finalChoices = choices;
   return result;
 }

@@ -72,7 +72,11 @@ TwoStageSnapshot TwoStageSizer::snapshot(const TwoStageOtaDesign& d, double inpu
 
 OtaPerformance TwoStageSizer::evaluate(const TwoStageOtaDesign& d, const OtaSpecs& specs,
                                        const SizingPolicy& policy) const {
-  const TwoStageSnapshot s = snapshot(d, specs.inputCmMid());
+  return evaluate(d, snapshot(d, specs.inputCmMid()), policy);
+}
+
+OtaPerformance TwoStageSizer::evaluate(const TwoStageOtaDesign& d, const TwoStageSnapshot& s,
+                                       const SizingPolicy& policy) const {
   auto routing = [&](const char* net) {
     return policy.routingParasitics ? policy.routingParasitics->capOn(net) : 0.0;
   };
@@ -193,9 +197,9 @@ OtaPerformance TwoStageSizer::evaluate(const TwoStageOtaDesign& d, const OtaSpec
   return p;
 }
 
-void TwoStageSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& policy,
-                                const TwoStageChoices& choices, double gm1,
-                                double stage2Ratio, TwoStageOtaDesign& d) const {
+TwoStageSnapshot TwoStageSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& policy,
+                                            const TwoStageChoices& choices, double gm1,
+                                            double stage2Ratio, TwoStageOtaDesign& d) const {
   const double temp = tech_.temperature;
   const tech::MosModelCard& nmos = tech_.nmos;
   const tech::MosModelCard& pmos = tech_.pmos;
@@ -257,8 +261,9 @@ void TwoStageSizer::buildDesign(const OtaSpecs& specs, const SizingPolicy& polic
                                 temp);
   // Nulling resistor slightly past 1/gm6 pushes the zero into the left half
   // plane where it helps the phase.
-  const TwoStageSnapshot s = snapshot(d, specs.inputCmMid());
+  TwoStageSnapshot s = snapshot(d, specs.inputCmMid());
   d.rz = 1.25 / std::max(s.driver.gm, 1e-6);
+  return s;
 }
 
 TwoStageSizingResult TwoStageSizer::size(const OtaSpecs& specs, const SizingPolicy& policy,
@@ -267,14 +272,20 @@ TwoStageSizingResult TwoStageSizer::size(const OtaSpecs& specs, const SizingPoli
   double stage2Ratio = 2.5;
   double gmScale = 1.0;
 
+  // Evaluate once per design: `perf` always describes the current `d`,
+  // computed from the snapshot buildDesign already solved.
   TwoStageOtaDesign d;
+  OtaPerformance perf;
+  auto rebuild = [&](double gm1) {
+    const TwoStageSnapshot snap = buildDesign(specs, policy, choices, gm1, stage2Ratio, d);
+    perf = evaluate(d, snap, policy);
+  };
   for (int outer = 0; outer < 20; ++outer) {
     ++result.gbwIterations;
     const double gm1 = 2.0 * M_PI * specs.gbw * (choices.ccOverCl * specs.cload) * gmScale;
-    buildDesign(specs, policy, choices, gm1, stage2Ratio, d);
+    rebuild(gm1);
 
     for (int inner = 0; inner < 25; ++inner) {
-      const OtaPerformance perf = evaluate(d, specs, policy);
       if (perf.phaseMarginDeg < specs.phaseMarginDeg) {
         ++result.pmIterations;
         stage2Ratio = std::min(12.0, stage2Ratio * 1.15);
@@ -284,10 +295,9 @@ TwoStageSizingResult TwoStageSizer::size(const OtaSpecs& specs, const SizingPoli
       } else {
         break;
       }
-      buildDesign(specs, policy, choices, gm1, stage2Ratio, d);
+      rebuild(gm1);
     }
 
-    const OtaPerformance perf = evaluate(d, specs, policy);
     const double gbwError = perf.gbwHz / specs.gbw - 1.0;
     if (std::abs(gbwError) < 5e-3) {
       result.converged = true;
@@ -297,7 +307,7 @@ TwoStageSizingResult TwoStageSizer::size(const OtaSpecs& specs, const SizingPoli
   }
 
   result.design = d;
-  result.predicted = evaluate(d, specs, policy);
+  result.predicted = perf;
   return result;
 }
 

@@ -55,10 +55,18 @@ class TwoStageSizer {
                                         const OtaSpecs& specs,
                                         const SizingPolicy& policy) const;
 
+  /// The same row from an already solved `snapshot(d, specs.inputCmMid())`;
+  /// bit-identical to the overload above, which solves it first.
+  [[nodiscard]] OtaPerformance evaluate(const circuit::TwoStageOtaDesign& d,
+                                        const TwoStageSnapshot& snap,
+                                        const SizingPolicy& policy) const;
+
  private:
-  void buildDesign(const OtaSpecs& specs, const SizingPolicy& policy,
-                   const TwoStageChoices& choices, double gm1, double stage2Ratio,
-                   circuit::TwoStageOtaDesign& d) const;
+  /// Rebuild the whole design; returns its snapshot, which the nulling
+  /// resistor is sized from (the snapshot does not read `rz`).
+  TwoStageSnapshot buildDesign(const OtaSpecs& specs, const SizingPolicy& policy,
+                               const TwoStageChoices& choices, double gm1,
+                               double stage2Ratio, circuit::TwoStageOtaDesign& d) const;
 
   const tech::Technology& tech_;
   const device::MosModel& model_;

@@ -158,8 +158,8 @@ TEST(Fft, ThdEmptyFundamentalReturnsZero) {
 
 TEST(Fft, ThdRejectsOutOfRangeFundamental) {
   const std::vector<double> samples = sineSamples(256, 4.0, 1.0);
-  EXPECT_THROW(thdPercent(samples, 0, 5), std::invalid_argument);
-  EXPECT_THROW(thdPercent(samples, 129, 5), std::invalid_argument);
+  EXPECT_THROW((void)thdPercent(samples, 0, 5), std::invalid_argument);
+  EXPECT_THROW((void)thdPercent(samples, 129, 5), std::invalid_argument);
 }
 
 }  // namespace

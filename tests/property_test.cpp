@@ -2,13 +2,17 @@
 // driving invariants that must hold for any input.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <random>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "circuit/spice_io.hpp"
 #include "core/flow.hpp"
+#include "device/inversion.hpp"
 #include "layout/drc.hpp"
 #include "layout/router.hpp"
 #include "layout/slicing.hpp"
@@ -167,6 +171,109 @@ INSTANTIATE_TEST_SUITE_P(ModelsAndSeeds, StampGrid,
                          ::testing::Combine(::testing::Values(std::string("level1"),
                                                               std::string("ekv")),
                                             ::testing::Values(3, 17, 29)));
+
+// --- vgsForCurrent: its early exit returns the full bisection's bits. ---
+
+/// Delegates to a real model through its public interface and counts the
+/// forward-current evaluations.
+class CountingModel final : public device::MosModel {
+ public:
+  explicit CountingModel(const device::MosModel& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const override { return inner_.name(); }
+  [[nodiscard]] double threshold(const tech::MosModelCard& card, double vbs) const override {
+    return inner_.threshold(card, vbs);
+  }
+  mutable long calls = 0;
+
+ protected:
+  [[nodiscard]] double forwardCurrent(const tech::MosModelCard& card,
+                                      const device::MosGeometry& geo, double vgs,
+                                      double vds, double vbs, double tempK) const override {
+    ++calls;
+    return inner_.currentNormalized(card, geo, vgs, vds, vbs, tempK);  // vds >= 0 here.
+  }
+  [[nodiscard]] double saturationVoltage(const tech::MosModelCard& card, double vgs,
+                                         double vbs, double tempK) const override {
+    const double p = card.polarity();
+    return inner_.evaluate(card, device::MosGeometry{}, p * vgs, 0.0, p * vbs, tempK).vdsat;
+  }
+
+ private:
+  const device::MosModel& inner_;
+};
+
+/// The bisection as it was before the early exit: always 80 passes.
+double referenceVgsForCurrent(const device::MosModel& model, const tech::MosModelCard& card,
+                              const device::MosGeometry& geo, double targetId, double vds,
+                              double vbs, double vmax, double tempK) {
+  double lo = 0.0, hi = vmax;
+  for (int i = 0; i < 80; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    const double id = std::abs(model.currentNormalized(card, geo, mid, vds, vbs, tempK));
+    (id < targetId ? lo : hi) = mid;
+  }
+  return 0.5 * (lo + hi);
+}
+
+class VgsGrid : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {};
+
+TEST_P(VgsGrid, EarlyExitIsBitEqualToEightyPasses) {
+  const auto model = device::MosModel::create(std::get<0>(GetParam()));
+  const CountingModel counted(*model);
+  const tech::MosModelCard& card = std::get<1>(GetParam()) == "nmos" ? kTech.nmos : kTech.pmos;
+  std::mt19937 rng(std::get<1>(GetParam()) == "nmos" ? 5 : 6);
+  std::uniform_real_distribution<double> wDist(1e-6, 200e-6);
+  std::uniform_real_distribution<double> lDist(0.6e-6, 5e-6);
+  std::uniform_real_distribution<double> vdsDist(0.05, 2.5);
+  std::uniform_real_distribution<double> vbsDist(-1.5, 0.0);
+  auto bits = [](double v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+  };
+
+  long calls = 0, bisections = 0;
+  for (int i = 0; i < 24; ++i) {
+    device::MosGeometry geo;
+    geo.w = wDist(rng);
+    geo.l = lDist(rng);
+    device::applyUnfoldedGeometry(kTech.rules, geo);
+    const double vds = vdsDist(rng), vbs = vbsDist(rng);
+    const double vmax = i % 3 == 0 ? 3.3 : 5.0;
+    const double tempK = i % 4 == 0 ? 400.0 : kTech.temperature;
+    const double idMax = std::abs(model->currentNormalized(card, geo, vmax, vds, vbs, tempK));
+    const double idZero = std::abs(model->currentNormalized(card, geo, 0.0, vds, vbs, tempK));
+    ASSERT_GT(idZero, 0.0);
+    ASSERT_GT(idMax, 1e-9);
+
+    // 1 nA up to id(vmax) itself, log-spaced, plus a target below id(0):
+    // there every midpoint answers "high", so lo = 0 is never tested.
+    std::vector<double> targets;
+    for (int k = 0; k < 12; ++k) targets.push_back(1e-9 * std::pow(idMax / 1e-9, k / 12.0));
+    targets.push_back(idMax);
+    targets.push_back(0.5 * idZero);
+    for (const double target : targets) {
+      const double want = referenceVgsForCurrent(*model, card, geo, target, vds, vbs, vmax,
+                                                 tempK);
+      const long before = counted.calls;
+      const double got =
+          device::vgsForCurrent(counted, card, geo, target, vds, vbs, vmax, tempK);
+      calls += counted.calls - before;
+      ++bisections;
+      EXPECT_EQ(bits(got), bits(want)) << "i=" << i << " target=" << target
+                                       << " got=" << got << " want=" << want;
+    }
+  }
+  // The exit is taken: fewer model calls than the fixed 80 passes (+1 for
+  // the vmax check) would make.
+  EXPECT_LT(calls, 75 * bisections);
+}
+
+INSTANTIATE_TEST_SUITE_P(ModelsAndPolarities, VgsGrid,
+                         ::testing::Combine(::testing::Values(std::string("level1"),
+                                                              std::string("ekv")),
+                                            ::testing::Values(std::string("nmos"),
+                                                              std::string("pmos"))));
 
 // --- Slicing invariants on random trees. ---
 

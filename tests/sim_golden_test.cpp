@@ -343,6 +343,34 @@ TEST(SimGolden, DeviceBatchEvaluationMatchesScalarBitwise) {
               << " vds=" << vds[i] << " vbs=" << vbs[i];
         }
       }
+
+      // Derivative-stencil batches, shaped as evaluateStamp builds them:
+      // points 3 and 4 repeat point 0's gate and bulk bias, so the EKV batch
+      // shares point 0's gate/source terms with them.  Drain biases at and
+      // around zero make vds +/- h straddle the source/drain flip, where the
+      // flipped (vg, vs) differ from point 0's and nothing may be shared;
+      // 400 K moves the temperature-dependent terms.
+      const double h = 1e-6;
+      for (const double tempK : {300.15, 400.0}) {
+        for (const double vdsFixed : {0.0, -0.0, 0.5 * h, -0.5 * h, h, -h, 2.0 * h, 1.3}) {
+          for (int k = 0; k < 4; ++k) {
+            const double g = uVgs(rng), b = uVbs(rng);
+            const double d = k == 0 ? vdsFixed : uVds(rng);
+            const double vg7[7] = {g, g + h, g - h, g, g, g, g};
+            const double vd7[7] = {d, d, d, d + h, d - h, d, d};
+            const double vb7[7] = {b, b, b, b, b, b + h, b - h};
+            double id7[7];
+            model->currentNormalizedBatch(*card, geo, vg7, vd7, vb7, id7, 7, tempK);
+            for (std::size_t i = 0; i < 7; ++i) {
+              const double scalar =
+                  model->currentNormalized(*card, geo, vg7[i], vd7[i], vb7[i], tempK);
+              EXPECT_BIT_EQ(scalar, id7[i])
+                  << modelName << " stencil i=" << i << " T=" << tempK << " vgs=" << vg7[i]
+                  << " vds=" << vd7[i] << " vbs=" << vb7[i];
+            }
+          }
+        }
+      }
     }
   }
 }

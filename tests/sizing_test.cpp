@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "device/folding.hpp"
+#include "layout/ota_layout.hpp"
+#include "layout/two_stage_layout.hpp"
 #include "sizing/ota_evaluator.hpp"
+#include "sizing/two_stage.hpp"
 
 namespace lo::sizing {
 namespace {
@@ -165,6 +173,101 @@ TEST(Evaluator, PerformanceFiguresInPhysicalRanges) {
   EXPECT_GT(p.powerMw, 0.3);
   EXPECT_LT(p.powerMw, 10.0);
   EXPECT_LT(std::abs(p.offsetMv), 5.0);
+}
+
+// --- The sizers report the evaluation of the design they return. ---
+
+/// Every Table-1 field, compared by bits (-0.0 and +0.0 differ).
+void expectPerformanceBitEqual(const OtaPerformance& a, const OtaPerformance& b,
+                               const std::string& where) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+#define LO_EXPECT_FIELD(f) EXPECT_EQ(bits(a.f), bits(b.f)) << where << " " #f
+  LO_EXPECT_FIELD(dcGainDb);
+  LO_EXPECT_FIELD(gbwHz);
+  LO_EXPECT_FIELD(phaseMarginDeg);
+  LO_EXPECT_FIELD(slewRateVPerUs);
+  LO_EXPECT_FIELD(cmrrDb);
+  LO_EXPECT_FIELD(offsetMv);
+  LO_EXPECT_FIELD(outputResistanceMOhm);
+  LO_EXPECT_FIELD(inputNoiseUv);
+  LO_EXPECT_FIELD(thermalNoiseDensityNv);
+  LO_EXPECT_FIELD(flickerNoiseUv);
+  LO_EXPECT_FIELD(powerMw);
+  LO_EXPECT_FIELD(psrrDb);
+  LO_EXPECT_FIELD(settlingTimeNs);
+#undef LO_EXPECT_FIELD
+}
+
+/// Spec points spread over each topology's GBW, phase-margin and load range.
+std::vector<OtaSpecs> reuseSpecPoints(double gbwLow, double gbwMid, double gbwHigh) {
+  std::vector<OtaSpecs> points(3);
+  points[0].gbw = gbwLow;
+  points[0].phaseMarginDeg = 60.0;
+  points[0].cload = 2e-12;
+  points[1].gbw = gbwMid;
+  points[2].gbw = gbwHigh;
+  points[2].phaseMarginDeg = 70.0;
+  points[2].cload = 4e-12;
+  return points;
+}
+
+TEST_P(SizerByModel, OtaPredictedIsAFreshEvaluationOfTheDesign) {
+  const OtaSizer sizer(kTech, *model_);
+  const OtaEvaluator evaluator(kTech, *model_);
+  for (const OtaSpecs& specs : reuseSpecPoints(30e6, 65e6, 80e6)) {
+    const std::string at = std::string(GetParam()) + " gbw=" + std::to_string(specs.gbw);
+    // Cases 1 and 2, then 3 and 4 fed back from a parasitic-mode layout of
+    // the case-2 design, as the engine's first loop turn does.
+    const SizingResult r1 = sizer.size(specs, SizingPolicy::case1());
+    expectPerformanceBitEqual(
+        r1.predicted, evaluator.evaluate(r1.design, specs, SizingPolicy::case1()),
+        at + " case1");
+    const SizingResult r2 = sizer.size(specs, SizingPolicy::case2());
+    expectPerformanceBitEqual(
+        r2.predicted, evaluator.evaluate(r2.design, specs, SizingPolicy::case2()),
+        at + " case2");
+    const layout::OtaLayoutResult run =
+        layout::generateOtaLayout(kTech, r2.design, layout::OtaLayoutOptions{}, false);
+    SizingPolicy p3 = SizingPolicy::case2();
+    p3.exactDiffusion = true;
+    p3.junctionTemplates = run.junctions;
+    const SizingResult r3 = sizer.size(specs, p3);
+    expectPerformanceBitEqual(r3.predicted, evaluator.evaluate(r3.design, specs, p3),
+                              at + " case3");
+    SizingPolicy p4 = p3;
+    p4.routingParasitics = &run.parasitics;
+    const SizingResult r4 = sizer.size(specs, p4);
+    expectPerformanceBitEqual(r4.predicted, evaluator.evaluate(r4.design, specs, p4),
+                              at + " case4");
+  }
+}
+
+TEST_P(SizerByModel, TwoStagePredictedIsAFreshEvaluationOfTheDesign) {
+  const TwoStageSizer sizer(kTech, *model_);
+  for (const OtaSpecs& specs : reuseSpecPoints(15e6, 30e6, 40e6)) {
+    const std::string at = std::string(GetParam()) + " gbw=" + std::to_string(specs.gbw);
+    const TwoStageSizingResult r1 = sizer.size(specs, SizingPolicy::case1());
+    expectPerformanceBitEqual(
+        r1.predicted, sizer.evaluate(r1.design, specs, SizingPolicy::case1()),
+        at + " case1");
+    const TwoStageSizingResult r2 = sizer.size(specs, SizingPolicy::case2());
+    expectPerformanceBitEqual(
+        r2.predicted, sizer.evaluate(r2.design, specs, SizingPolicy::case2()),
+        at + " case2");
+    const layout::TwoStageLayoutResult run = layout::generateTwoStageLayout(
+        kTech, r2.design, layout::TwoStageLayoutOptions{}, false);
+    SizingPolicy p3 = SizingPolicy::case2();
+    p3.exactDiffusion = true;
+    p3.twoStageTemplates = run.junctions;
+    const TwoStageSizingResult r3 = sizer.size(specs, p3);
+    expectPerformanceBitEqual(r3.predicted, sizer.evaluate(r3.design, specs, p3),
+                              at + " case3");
+    SizingPolicy p4 = p3;
+    p4.routingParasitics = &run.parasitics;
+    const TwoStageSizingResult r4 = sizer.size(specs, p4);
+    expectPerformanceBitEqual(r4.predicted, sizer.evaluate(r4.design, specs, p4),
+                              at + " case4");
+  }
 }
 
 TEST(OperatingChoices, GroupAccessorCoversAllGroups) {

@@ -34,10 +34,14 @@
 //                        probe (default 30)
 //   --trace-log PATH     append one JSON trace line per finished job
 //   --tech PATH          technology file (default: built-in generic060)
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "explore/manager.hpp"
 #include "explore/service_ops.hpp"
@@ -54,6 +58,25 @@ void usage(const char* argv0) {
                "          [--shed-watermark F] [--breaker N] [--breaker-reset T]\n"
                "          [--trace-log PATH] [--tech PATH]\n",
                argv0);
+}
+
+/// The whole of `text` as a non-negative number of type T.  Junk, trailing
+/// characters, a sign, overflow or a non-finite value print "bad value for
+/// FLAG" and the usage text, and exit 2.
+template <typename T>
+T parseNonNegative(const char* argv0, const std::string& flag, const std::string& text) {
+  T out{};
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  bool ok = !text.empty() && ec == std::errc() && ptr == last;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out) && out >= 0.0;
+  if constexpr (std::is_signed_v<T>) ok = ok && out >= 0;
+  if (!ok) {
+    std::fprintf(stderr, "bad value for %s: '%s'\n", flag.c_str(), text.c_str());
+    usage(argv0);
+    std::exit(2);
+  }
+  return out;
 }
 
 }  // namespace
@@ -73,17 +96,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--threads") options.threads = std::stoi(value());
-    else if (arg == "--queue-depth") options.maxQueueDepth = std::stoul(value());
-    else if (arg == "--cache-capacity") options.cache.capacity = std::stoul(value());
+    const auto number = [&]<typename T>(T& out) {
+      out = parseNonNegative<T>(argv[0], arg, value());
+    };
+    if (arg == "--threads") number(options.threads);
+    else if (arg == "--queue-depth") number(options.maxQueueDepth);
+    else if (arg == "--cache-capacity") number(options.cache.capacity);
     else if (arg == "--cache-dir") {
       const std::string dir = value();
       options.cache.diskDir =
           dir == "default" ? service::CacheOptions::defaultDiskDir() : dir;
     } else if (arg == "--journal") options.journal.dir = value();
-    else if (arg == "--shed-watermark") options.shedWatermark = std::stod(value());
-    else if (arg == "--breaker") options.breakerFailureThreshold = std::stoi(value());
-    else if (arg == "--breaker-reset") options.breakerResetSeconds = std::stod(value());
+    else if (arg == "--shed-watermark") number(options.shedWatermark);
+    else if (arg == "--breaker") number(options.breakerFailureThreshold);
+    else if (arg == "--breaker-reset") number(options.breakerResetSeconds);
     else if (arg == "--trace-log") options.traceLogPath = value();
     else if (arg == "--tech") techPath = value();
     else if (arg == "--help" || arg == "-h") {
