@@ -12,7 +12,10 @@
 //     reference,
 //   * heap allocation counts per AC point and per warm solve vs reference,
 //   * transient steps/sec and allocations per step, fast vs reference runs
-//     interleaved in this one process.
+//     interleaved in this one process,
+//   * per captured matrix class (slew transient, AC grid, noise forward +
+//     adjoint of both topologies): n, nonzeros and ns per factorization of
+//     the zero-skipping luFactorize vs the one-shot luSolve.
 //
 // Acceptance gates (exit 1 on violation):
 //   * AC batch throughput   >= 2.0x the reference path,
@@ -22,7 +25,11 @@
 //   * fast Newton iters/sec >= 0.9x the reference (the batched device
 //     evaluation must not regress per-iteration cost),
 //   * transient steps/sec   >= 1.2x the reference,
-//   * transient allocations per step <= 50% of the reference.
+//   * transient allocations per step <= 50% of the reference,
+//   * LU bit identity: every captured testbench matrix, factored by
+//     luFactorize and solved by luSolveFactored, gives luSolve's solution
+//     bit for bit (and the same acceptance).  This gate checks bits, not
+//     speed, so a slow host cannot flake it.
 //
 // CI runs a short-budget pass: ext_sim --sim-reps=30 --benchmark_filter=none.
 #include <benchmark/benchmark.h>
@@ -40,9 +47,12 @@
 #include <vector>
 
 #include "circuit/ota.hpp"
+#include "circuit/two_stage.hpp"
 #include "layout/writers.hpp"
+#include "sim/linear.hpp"
 #include "sim/simulator.hpp"
 #include "sizing/ota_sizer.hpp"
+#include "sizing/two_stage.hpp"
 #include "sizing/verify.hpp"
 #include "tech/technology.hpp"
 
@@ -408,8 +418,128 @@ TranSample runTransient(const Workload& w) {
   return s;
 }
 
+// ---------------------------------------------------------------------------
+// LU bit-identity gate over real testbench matrices.
+
+struct LuGateRow {
+  std::string name;
+  bool complex = false;
+  std::size_t count = 0;
+  std::size_t n = 0;
+  double meanNonzeros = 0.0;
+  double factorNs = 0.0;    ///< luFactorize per matrix.
+  double solveNs = 0.0;     ///< luSolveFactored per matrix.
+  double oneShotNs = 0.0;   ///< luSolve (factor and solve) per matrix.
+  std::size_t mismatches = 0;  ///< Matrices whose solution or acceptance differs.
+};
+
+template <typename T>
+[[nodiscard]] bool sameBits(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+/// Compare the fast factor/solve with the one-shot luSolve on every matrix
+/// one analysis factored, and time both.  The RHS is dense and fixed, so
+/// every row of each solve carries data.
+template <typename T>
+LuGateRow checkMatrices(std::string name, const std::vector<sim::DenseMatrix<T>>& matrices) {
+  LuGateRow row;
+  row.name = std::move(name);
+  row.complex = !std::is_same_v<T, double>;
+  row.count = matrices.size();
+  if (matrices.empty()) return row;
+  row.n = matrices.front().size();
+  std::vector<T> rhs(row.n);
+  for (std::size_t i = 0; i < row.n; ++i) rhs[i] = T(1.0 / (1.0 + static_cast<double>(i)));
+
+  std::size_t nonzeros = 0;
+  for (const auto& a : matrices) {
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      for (std::size_t c = 0; c < a.size(); ++c) nonzeros += a.at(r, c) != T{} ? 1 : 0;
+    }
+  }
+  row.meanNonzeros = static_cast<double>(nonzeros) / static_cast<double>(row.count);
+
+  std::vector<sim::DenseMatrix<T>> fast = matrices;
+  std::vector<sim::DenseMatrix<T>> oneShot = matrices;
+  std::vector<std::vector<std::size_t>> perms(row.count);
+  std::vector<std::vector<T>> xFast(row.count, rhs), xOneShot(row.count, rhs);
+  std::vector<char> okFast(row.count), okOneShot(row.count);
+
+  auto t0 = Clock::now();
+  for (std::size_t i = 0; i < row.count; ++i) okFast[i] = sim::luFactorize(fast[i], perms[i]);
+  row.factorNs = secondsSince(t0) * 1e9 / static_cast<double>(row.count);
+  t0 = Clock::now();
+  for (std::size_t i = 0; i < row.count; ++i) {
+    if (okFast[i]) sim::luSolveFactored(fast[i], perms[i], xFast[i]);
+  }
+  row.solveNs = secondsSince(t0) * 1e9 / static_cast<double>(row.count);
+  t0 = Clock::now();
+  for (std::size_t i = 0; i < row.count; ++i) okOneShot[i] = sim::luSolve(oneShot[i], xOneShot[i]);
+  row.oneShotNs = secondsSince(t0) * 1e9 / static_cast<double>(row.count);
+
+  for (std::size_t i = 0; i < row.count; ++i) {
+    const bool same = okFast[i] == okOneShot[i] && (!okFast[i] || sameBits(xFast[i], xOneShot[i]));
+    row.mismatches += same ? 0 : 1;
+  }
+  return row;
+}
+
+/// Run the slew transient, the AC grid and the noise analysis of one
+/// amplifier as the verification tier does, and check every matrix each
+/// one factors (the transient's include its operating point's).
+void checkAmplifier(const std::string& topology, const sizing::AmpInstantiateFn& instantiate,
+                    double inputCm, const device::MosModel& model,
+                    const sizing::VerifyOptions& vo, std::vector<LuGateRow>& rows) {
+  sim::SimOptions opt;
+  opt.tempK = Workload::technology().temperature;
+  std::vector<sim::DenseMatrix<double>> real;
+  std::vector<sim::DenseMatrix<std::complex<double>>> cplx;
+  const sim::Simulator::FactorObserver observer{
+      [&](const sim::DenseMatrix<double>& a) { real.push_back(a); },
+      [&](const sim::DenseMatrix<std::complex<double>>& a) { cplx.push_back(a); }};
+
+  const circuit::Circuit slew = sizing::buildSlewTestbench(instantiate, inputCm, nullptr, vo);
+  sim::Simulator tranSim(slew, Workload::technology(), model, opt);
+  tranSim.setFactorObserver(observer);
+  benchmark::DoNotOptimize(tranSim.transient(vo.tranStop, vo.tranStep).size());
+  rows.push_back(checkMatrices(topology + " slew transient", real));
+
+  const circuit::Circuit acTb =
+      sizing::buildAmpAcTestbench(instantiate, inputCm, nullptr, 0.0, 0.0, 0.0);
+  sim::Simulator acSim(acTb, Workload::technology(), model, opt);
+  const sim::DcSolution op = acSim.dcOperatingPoint();
+  acSim.setFactorObserver(observer);
+  benchmark::DoNotOptimize(
+      acSim.acFrom(op, "VDIFF", vo.fStart, vo.fStop, vo.pointsPerDecade).size());
+  rows.push_back(checkMatrices(topology + " AC grid", cplx));
+  cplx.clear();
+  benchmark::DoNotOptimize(acSim
+                               .noise(op, *acTb.findNode("out"), "VDIFF",
+                                      sizing::kNoiseBandLowHz, sizing::kNoiseBandHighHz, 10)
+                               .size());
+  rows.push_back(checkMatrices(topology + " noise fwd+adjoint", cplx));
+}
+
+std::vector<LuGateRow> runLuGate(const Workload& w) {
+  std::vector<LuGateRow> rows;
+  const tech::Technology& t = Workload::technology();
+  sizing::OtaSizer otaSizer(t, *w.model);
+  const circuit::FoldedCascodeOtaDesign ota =
+      otaSizer.size(sizing::OtaSpecs{}, sizing::SizingPolicy::case2()).design;
+  checkAmplifier("folded-cascode", [&](circuit::Circuit& c) { circuit::instantiateOta(c, ota); },
+                 ota.inputCm, *w.model, w.verifyOptions, rows);
+  sizing::TwoStageSizer twoStageSizer(t, *w.model);
+  const circuit::TwoStageOtaDesign twoStage =
+      twoStageSizer.size(sizing::OtaSpecs{}, sizing::SizingPolicy::case2()).design;
+  checkAmplifier(
+      "two-stage", [&](circuit::Circuit& c) { circuit::instantiateTwoStage(c, twoStage); },
+      twoStage.inputCm, *w.model, w.verifyOptions, rows);
+  return rows;
+}
+
 std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample& ac,
-                   const TranSample& tran, int failures) {
+                   const TranSample& tran, const std::vector<LuGateRow>& lu, int failures) {
   std::ostringstream out;
   out.precision(10);
   out << "{\n  \"bench\": \"ext_sim\",\n  \"reps\": " << gSimReps
@@ -441,10 +571,19 @@ std::string toJson(const DcSample& dc, const SweepSample& sweep, const AcSample&
       << ", \"speedup\": " << tran.speedup
       << ", \"solver_allocs_per_step_fast\": " << tran.allocsPerStepFast
       << ", \"solver_allocs_per_step_ref\": " << tran.allocsPerStepRef
-      << ", \"alloc_ratio\": " << tran.allocRatio
-      << "},\n  \"gates\": {\"ac_speedup_min\": 2.0, \"sweep_speedup_min\": 1.5,"
+      << ", \"alloc_ratio\": " << tran.allocRatio << "},\n  \"lu\": [";
+  for (std::size_t i = 0; i < lu.size(); ++i) {
+    const LuGateRow& r = lu[i];
+    out << (i ? ",\n    " : "\n    ") << "{\"name\": \"" << r.name
+        << "\", \"complex\": " << (r.complex ? "true" : "false") << ", \"matrices\": " << r.count
+        << ", \"n\": " << r.n << ", \"mean_nonzeros\": " << r.meanNonzeros
+        << ", \"factor_ns\": " << r.factorNs << ", \"solve_ns\": " << r.solveNs
+        << ", \"lu_solve_ns\": " << r.oneShotNs << ", \"mismatches\": " << r.mismatches << "}";
+  }
+  out << "],\n  \"gates\": {\"ac_speedup_min\": 2.0, \"sweep_speedup_min\": 1.5,"
       << " \"alloc_ratio_max\": 0.5, \"iters_ratio_min\": 0.9,"
-      << " \"tran_speedup_min\": 1.2, \"tran_alloc_ratio_max\": 0.5, \"pass\": "
+      << " \"tran_speedup_min\": 1.2, \"tran_alloc_ratio_max\": 0.5, \"lu_mismatches_max\": 0,"
+      << " \"pass\": "
       << (failures == 0 ? "true" : "false") << "}\n}\n";
   return out.str();
 }
@@ -455,6 +594,7 @@ int runSnapshot() {
   const SweepSample sweep = runWarmSweep(w);
   const AcSample ac = runAcBatch(w);
   const TranSample tran = runTransient(w);
+  const std::vector<LuGateRow> lu = runLuGate(w);
 
   std::printf("\n=== ext_sim: simulator hot-path snapshot (%d reps) ===\n", gSimReps);
   std::printf("cold DC    p50=%.3f ms  p99=%.3f ms  iters/s fast=%.3g ref=%.3g (%.2fx)\n",
@@ -474,7 +614,24 @@ int runSnapshot() {
               tran.refStepsPerSec, tran.speedup, tran.allocsPerStepFast,
               tran.allocsPerStepRef, tran.allocRatio);
 
+  std::printf("LU gate    zero-skipping luFactorize + luSolveFactored vs one-shot luSolve:\n");
+  for (const LuGateRow& r : lu) {
+    std::printf("  %-34s %-7s %5zu mats  n=%2zu  nnz=%5.1f (%2.0f%%)  factor=%6.0f ns"
+                "  solve=%5.0f ns  luSolve=%6.0f ns  %s\n",
+                r.name.c_str(), r.complex ? "complex" : "real", r.count, r.n, r.meanNonzeros,
+                r.n ? 100.0 * r.meanNonzeros / static_cast<double>(r.n * r.n) : 0.0,
+                r.factorNs, r.solveNs, r.oneShotNs,
+                r.mismatches == 0 ? "bit-identical" : "MISMATCH");
+  }
+
   int failures = 0;
+  for (const LuGateRow& r : lu) {
+    if (r.mismatches > 0 || r.count == 0) {
+      std::printf("ACCEPTANCE FAIL: %s: %zu of %zu matrices solve differently from luSolve\n",
+                  r.name.c_str(), r.mismatches, r.count);
+      ++failures;
+    }
+  }
   if (ac.speedup < 2.0) {
     std::printf("ACCEPTANCE FAIL: AC batch speedup %.2fx < 2.0x\n", ac.speedup);
     ++failures;
@@ -512,11 +669,11 @@ int runSnapshot() {
   }
   if (failures == 0) {
     std::printf("acceptance: AC >= 2x, sweep >= 1.5x, allocs <= 50%%, "
-                "iters/sec >= 0.9x, transient >= 1.2x -- all gates hold\n");
+                "iters/sec >= 0.9x, transient >= 1.2x, LU bit-identical -- all gates hold\n");
   }
 
   const std::string path = layout::outputPath("BENCH_sim.json");
-  layout::writeFile(path, toJson(dc, sweep, ac, tran, failures));
+  layout::writeFile(path, toJson(dc, sweep, ac, tran, lu, failures));
   std::printf("wrote %s\n", path.c_str());
   return failures;
 }

@@ -50,25 +50,35 @@ double parseSpiceNumber(std::string_view token) {
   } catch (const std::exception&) {
     throw NetlistParseError("bad number: '" + std::string(token) + "'");
   }
-  const std::string_view suffix = std::string_view(t).substr(pos);
-  if (suffix.empty()) return value;
   // Suffixes must match exactly: "3meg" scales, "3megx" (or "5kk", "1m5")
   // is an error rather than silently parsing as the recognised prefix.
-  if (suffix == "meg") return value * 1e6;
-  if (suffix.size() == 1) {
+  const std::string_view suffix = std::string_view(t).substr(pos);
+  double scale = 0.0;
+  if (suffix.empty()) {
+    scale = 1.0;
+  } else if (suffix == "meg") {
+    scale = 1e6;
+  } else if (suffix.size() == 1) {
     switch (suffix.front()) {
-      case 'f': return value * 1e-15;
-      case 'p': return value * 1e-12;
-      case 'n': return value * 1e-9;
-      case 'u': return value * 1e-6;
-      case 'm': return value * 1e-3;
-      case 'k': return value * 1e3;
-      case 'g': return value * 1e9;
-      case 't': return value * 1e12;
+      case 'f': scale = 1e-15; break;
+      case 'p': scale = 1e-12; break;
+      case 'n': scale = 1e-9; break;
+      case 'u': scale = 1e-6; break;
+      case 'm': scale = 1e-3; break;
+      case 'k': scale = 1e3; break;
+      case 'g': scale = 1e9; break;
+      case 't': scale = 1e12; break;
       default: break;
     }
   }
-  throw NetlistParseError("bad number suffix: '" + std::string(token) + "'");
+  if (scale == 0.0) throw NetlistParseError("bad number suffix: '" + std::string(token) + "'");
+  // nan and inf parse as numbers, and a suffix can overflow a finite
+  // mantissa ("1e305meg"); none of them is a circuit value.
+  const double scaled = value * scale;
+  if (!std::isfinite(scaled)) {
+    throw NetlistParseError("non-finite number: '" + std::string(token) + "'");
+  }
+  return scaled;
 }
 
 std::string formatSpiceNumber(double value) {

@@ -38,7 +38,8 @@ class NetlistParseError : public std::runtime_error {
 /// Parse one SPICE number with optional SI suffix ("2.5u", "3MEG", "10k"),
 /// case-insensitively.  The suffix must match exactly: trailing characters
 /// after a recognised suffix ("10megx", "1m5") throw NetlistParseError
-/// instead of silently parsing as the prefix.
+/// instead of silently parsing as the prefix.  Non-finite values ("nan",
+/// "inf", or a suffix that overflows) throw NetlistParseError too.
 [[nodiscard]] double parseSpiceNumber(std::string_view token);
 
 /// Format a value in engineering notation with SI suffix (e.g. "2.5u").

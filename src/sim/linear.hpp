@@ -55,15 +55,29 @@ template <typename T>
 /// luFactorize + luSolveFactored is bit-identical to the one-shot path --
 /// the property the solver regression tests lock down.  Returns false (A
 /// partially modified) on numerical singularity.
+///
+/// MNA matrices are mostly exact zeros, and the factorization skips them:
+/// the pivot search never takes the magnitude of a zero, a multiplier is
+/// formed only under a nonzero entry, and a row update walks only the
+/// pivot row's nonzero columns.  Every skipped operation is `a -= f * 0`
+/// with f finite (partial pivoting bounds |f| by 1), an exact no-op as long
+/// as no entry of the active submatrix is -0.0.  That holds for every
+/// matrix the simulator assembles from finite values: entries are sums
+/// that start at +0.0, the elimination only subtracts, and x - y is -0.0
+/// only when x is -0.0.  For such matrices the result keeps luSolve's
+/// bits; DESIGN.md spells the argument out.
 template <typename T>
 [[nodiscard]] bool luFactorize(DenseMatrix<T>& a, std::vector<std::size_t>& perm) {
   const std::size_t n = a.size();
+  const T zero{};
   perm.assign(n, 0);
   for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot.
+    // Partial pivot.  A zero has magnitude 0 and can never win the strict
+    // comparison, so skipping it leaves the choice unchanged.
     std::size_t pivot = col;
-    double best = magnitudeOf(a.at(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
+    double best = 0.0;
+    for (std::size_t r = col; r < n; ++r) {
+      if (a.at(r, col) == zero) continue;
       const double m = magnitudeOf(a.at(r, col));
       if (m > best) {
         best = m;
@@ -82,15 +96,28 @@ template <typename T>
       // unaffected, since those earlier columns are never read again.
       for (std::size_t c = col; c < n; ++c) std::swap(a.at(col, c), a.at(pivot, c));
     }
+    // The pivot row's nonzero columns right of the diagonal, listed once
+    // for all the row updates below.  They go in perm's tail: perm[col + 1]
+    // onwards is not written until later columns, and the list holds at
+    // most n - col - 1 entries.
+    const T* pivotRow = &a.at(col, 0);
+    std::size_t* const cols = perm.data() + col + 1;
+    std::size_t nCols = 0;
+    for (std::size_t c = col + 1; c < n; ++c) {
+      if (pivotRow[c] != zero) cols[nCols++] = c;
+    }
     // Eliminate below, storing each multiplier where the zero it creates
-    // would live.  A multiplier that is exactly zero is stored as-is; the
-    // solve skips it just as luSolve skips the whole update.
-    const T diag = a.at(col, col);
+    // would live.  A zero entry is left as it is and a multiplier that
+    // underflows to zero is stored as zero; the solve skips both, just as
+    // luSolve skips the whole update.
+    const T diag = pivotRow[col];
     for (std::size_t r = col + 1; r < n; ++r) {
-      const T factor = a.at(r, col) / diag;
-      a.at(r, col) = factor;
-      if (factor == T{}) continue;
-      for (std::size_t c = col + 1; c < n; ++c) a.at(r, c) -= factor * a.at(col, c);
+      T* row = &a.at(r, 0);
+      if (row[col] == zero) continue;
+      const T factor = row[col] / diag;
+      row[col] = factor;
+      if (factor == zero) continue;
+      for (std::size_t k = 0; k < nCols; ++k) row[cols[k]] -= factor * pivotRow[cols[k]];
     }
   }
   return true;

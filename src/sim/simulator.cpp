@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <optional>
 
 #include "sim/linear.hpp"
 #include "tech/units.hpp"
@@ -160,9 +161,19 @@ void stampMos(const circuit::Mos& m, const device::MosStamp& op, const std::vect
 /// Damped Newton update x += clamp(xNew - x): node voltages move at most
 /// `maxStepV` per iteration.  Returns the largest update scaled by the
 /// convergence tolerance (< 1 means converged) and its unknown in `worst`.
-double applyNewtonUpdate(const SimOptions& o, std::size_t nNodes,
-                         const std::vector<double>& xNew, std::vector<double>& x,
-                         std::size_t& worst) {
+/// A non-finite solution component fails the iteration: x is left as it
+/// was, `worst` names the component and the result is empty.  (A NaN
+/// update would otherwise pass as converged, since NaN > maxDelta is
+/// false.)
+std::optional<double> applyNewtonUpdate(const SimOptions& o, std::size_t nNodes,
+                                        const std::vector<double>& xNew,
+                                        std::vector<double>& x, std::size_t& worst) {
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!std::isfinite(xNew[i])) {
+      worst = i;
+      return std::nullopt;
+    }
+  }
   double maxDelta = 0.0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     double delta = xNew[i] - x[i];
@@ -240,6 +251,20 @@ Simulator::Workspace& Simulator::ws() const {
   return *ws_;
 }
 
+/// luFactorize for the fast path: shows the matrix to the observer first
+/// and counts the factorizations that succeed.
+template <typename T>
+bool Simulator::factorize(DenseMatrix<T>& a, std::vector<std::size_t>& perm) const {
+  if constexpr (std::is_same_v<T, double>) {
+    if (observer_.real) observer_.real(a);
+  } else {
+    if (observer_.complex) observer_.complex(a);
+  }
+  if (!luFactorize(a, perm)) return false;
+  ++stats_.luFactorizations;
+  return true;
+}
+
 std::size_t Simulator::unknownCount() const {
   return static_cast<std::size_t>(circuit_.nodeCount() - 1) + circuit_.vsources.size() +
          circuit_.vcvs.size();
@@ -301,7 +326,7 @@ bool Simulator::newtonSolve(std::vector<double>& x, double gmin, double srcScale
 
   for (int iter = 0; iter < maxIters; ++iter) {
     std::size_t worst = 0;
-    double maxDelta = 0.0;
+    std::optional<double> maxDelta;
     if (fast) {
       Workspace& wk = ws();
       wk.a = wk.base;
@@ -309,8 +334,7 @@ bool Simulator::newtonSolve(std::vector<double>& x, double gmin, double srcScale
       for (const circuit::Mos& m : circuit_.mosfets) {
         stampMos(m, evalMosStamp(m, x), x, wk.a, wk.xNew);
       }
-      if (!luFactorize(wk.a, wk.perm)) return false;
-      ++stats_.luFactorizations;
+      if (!factorize(wk.a, wk.perm)) return false;
       luSolveFactored(wk.a, wk.perm, wk.xNew);
       ++stats_.luSolves;
       maxDelta = applyNewtonUpdate(options_, nNodes, wk.xNew, x, worst);
@@ -326,7 +350,8 @@ bool Simulator::newtonSolve(std::vector<double>& x, double gmin, double srcScale
     }
     ++stats_.newtonIterations;
     if (itersOut) ++*itersOut;
-    if (maxDelta < 1.0 && iter > 0) return true;
+    if (!maxDelta) return false;
+    if (*maxDelta < 1.0 && iter > 0) return true;
   }
   return false;
 }
@@ -668,10 +693,7 @@ std::vector<std::vector<AcPoint>> Simulator::acSolveGridFast(
   for (double f : freqs) {
     // One factorization per frequency; every excitation reuses it.
     realizeAcMatrix(w.acBase, w.capOps, 2.0 * M_PI * f, w.acA);
-    if (!luFactorize(w.acA, w.perm)) {
-      throw SimulationError(failPrefix + std::to_string(f));
-    }
-    ++stats_.luFactorizations;
+    if (!factorize(w.acA, w.perm)) throw SimulationError(failPrefix + std::to_string(f));
     for (std::size_t e = 0; e < excitations.size(); ++e) {
       const AcExcitation& ex = excitations[e];
       switch (ex.kind) {
@@ -853,8 +875,7 @@ std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId o
       wk.acAdj = a;  // Keep the realised matrix for the adjoint transpose.
       std::fill(work.begin(), work.end(), Cplx{});
       work[nNodes + inputIndex] = Cplx{1.0, 0.0};
-      if (!luFactorize(a, wk.perm)) throw SimulationError("noise: forward solve failed");
-      ++stats_.luFactorizations;
+      if (!factorize(a, wk.perm)) throw SimulationError("noise: forward solve failed");
       luSolveFactored(a, wk.perm, work);
       ++stats_.luSolves;
       gain = out == circuit::kGround ? Cplx{} : work[out - 1];
@@ -869,10 +890,7 @@ std::vector<NoisePoint> Simulator::noise(const DcSolution& op, circuit::NodeId o
       }
       std::fill(work.begin(), work.end(), Cplx{});
       if (out != circuit::kGround) work[out - 1] = Cplx{1.0, 0.0};
-      if (!luFactorize(wk.acAdj, wk.permAdj)) {
-        throw SimulationError("noise: adjoint solve failed");
-      }
-      ++stats_.luFactorizations;
+      if (!factorize(wk.acAdj, wk.permAdj)) throw SimulationError("noise: adjoint solve failed");
       luSolveFactored(wk.acAdj, wk.permAdj, work);
       ++stats_.luSolves;
     } else {
@@ -1039,13 +1057,13 @@ std::vector<TranPoint> Simulator::transient(double tStop, double dt) const {
         if (cs.a >= 0) rhs[cs.a] += cs.ieq;
         if (cs.b >= 0) rhs[cs.b] -= cs.ieq;
       }
-      if (!luFactorize(a, wk.perm)) throw SimulationError("transient: singular matrix");
-      ++stats_.luFactorizations;
+      if (!factorize(a, wk.perm)) throw SimulationError("transient: singular matrix");
       luSolveFactored(a, wk.perm, rhs);
       ++stats_.luSolves;
-      const double maxDelta = applyNewtonUpdate(options_, nNodes, rhs, x, worst);
+      const std::optional<double> maxDelta = applyNewtonUpdate(options_, nNodes, rhs, x, worst);
       ++stats_.tranNewtonIterations;
-      if (maxDelta < 1.0 && iter > 0) {
+      if (!maxDelta) throwTransientNewtonFailure(step, t, iter + 1, worst);
+      if (*maxDelta < 1.0 && iter > 0) {
         converged = true;
         break;
       }
@@ -1087,8 +1105,8 @@ void Simulator::throwTransientNewtonFailure(int step, double t, int iters,
 // Reference transient: the pre-optimization loop, kept as the golden
 // baseline.  It re-assembles the whole matrix every iteration, runs the
 // full device evaluation at the step start and again in every iteration,
-// and allocates per step and per iteration.  Only its failure message and
-// counters are shared with the fast path.
+// and allocates per step and per iteration.  Only its Newton update,
+// failure message and counters are shared with the fast path.
 std::vector<TranPoint> Simulator::transientReference(double tStop, double dt) const {
   // Capacitor branch bookkeeping: explicit caps first, then 5 per MOS.
   struct CapBranch {
@@ -1221,21 +1239,10 @@ std::vector<TranPoint> Simulator::transientReference(double tStop, double dt) co
 
       std::vector<double> xNew = rhs;
       if (!luSolve(a, xNew)) throw SimulationError("transient: singular matrix");
-      double maxDelta = 0.0;
-      for (std::size_t i = 0; i < nUnknowns; ++i) {
-        double delta = xNew[i] - x[i];
-        const double limit = i < nNodes ? options_.maxStepV : 1e9;
-        delta = std::clamp(delta, -limit, limit);
-        x[i] += delta;
-        const double scaled =
-            std::abs(delta) / (options_.absTolV + options_.relTol * std::abs(x[i]));
-        if (scaled > maxDelta) {
-          maxDelta = scaled;
-          worst = i;
-        }
-      }
+      const std::optional<double> maxDelta = applyNewtonUpdate(options_, nNodes, xNew, x, worst);
       ++stats_.tranNewtonIterations;
-      if (maxDelta < 1.0 && iter > 0) {
+      if (!maxDelta) throwTransientNewtonFailure(step, t, iter + 1, worst);
+      if (*maxDelta < 1.0 && iter > 0) {
         converged = true;
         break;
       }

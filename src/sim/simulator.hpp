@@ -8,6 +8,7 @@
 #pragma once
 
 #include <complex>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,9 @@
 #include "tech/technology.hpp"
 
 namespace lo::sim {
+
+template <typename T>
+class DenseMatrix;  // sim/linear.hpp
 
 /// Solve-path selector.  Both modes produce bit-identical results (the
 /// golden solver tests prove it); they differ only in how much work and
@@ -231,11 +235,25 @@ class Simulator {
   /// for bench/ext_sim; results never depend on them).
   [[nodiscard]] const SimStats& stats() const { return stats_; }
 
+  /// Receives every matrix this instance's fast solver path is about to
+  /// factor: real for DC and transient Newton, complex for AC and noise
+  /// (dcSweep solves on a private instance it does not pass this to).
+  /// Observers only read, and results never depend on them (bench/ext_sim
+  /// captures real testbench matrices through this for its LU
+  /// bit-identity gate).
+  struct FactorObserver {
+    std::function<void(const DenseMatrix<double>&)> real;
+    std::function<void(const DenseMatrix<std::complex<double>>&)> complex;
+  };
+  void setFactorObserver(FactorObserver observer) { observer_ = std::move(observer); }
+
  private:
   struct Workspace;
   [[nodiscard]] Workspace& ws() const;
   [[nodiscard]] bool newtonSolve(std::vector<double>& x, double gmin, double srcScale,
                                  int maxIters, int* itersOut) const;
+  template <typename T>
+  [[nodiscard]] bool factorize(DenseMatrix<T>& a, std::vector<std::size_t>& perm) const;
   [[nodiscard]] DcSolution finalizeSolution(const std::vector<double>& x, int iters) const;
   [[nodiscard]] device::MosOpPoint evalMos(const circuit::Mos& mos,
                                            const std::vector<double>& x) const;
@@ -260,6 +278,7 @@ class Simulator {
   SimOptions options_;
   mutable std::unique_ptr<Workspace> ws_;
   mutable SimStats stats_;
+  FactorObserver observer_;
 };
 
 /// Trapezoidal integration of a tabulated PSD over [f0, f1] on the log grid

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "tech/units.hpp"
@@ -152,6 +153,21 @@ Technology Technology::generic100() {
 
 namespace {
 
+/// The whole of `value` as a finite number, or nothing: trailing
+/// characters ("3.3volts"), nan, inf and out-of-range values are rejected.
+std::optional<double> parseFinite(std::string_view value) {
+  const std::string text(value);
+  std::size_t used = 0;
+  double v = 0.0;
+  try {
+    v = std::stod(text, &used);
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+  if (used != text.size() || !std::isfinite(v)) return std::nullopt;
+  return v;
+}
+
 // ---- Tech file serialisation / parsing ----
 //
 // Format: "[section]" headers with "key = value" lines; '#' starts a comment.
@@ -192,11 +208,9 @@ void writeCard(KeyWriter& w, const MosModelCard& c) {
 
 bool setCardKey(MosModelCard& c, std::string_view key, std::string_view value) {
   auto num = [&] {
-    try {
-      return std::stod(std::string(value));
-    } catch (const std::exception&) {
-      throw TechParseError("bad model value '" + std::string(value) + "'");
-    }
+    const std::optional<double> v = parseFinite(value);
+    if (!v) throw TechParseError("bad model value '" + std::string(value) + "'");
+    return *v;
   };
   if (key == "name") { c.name = std::string(value); return true; }
   if (key == "vto") { c.vto = num(); return true; }
@@ -350,12 +364,12 @@ Technology Technology::parse(std::string_view text) {
     const std::string_view key = trim(line.substr(0, eq));
     const std::string_view value = trim(line.substr(eq + 1));
     auto num = [&] {
-      try {
-        return std::stod(std::string(value));
-      } catch (const std::exception&) {
+      const std::optional<double> v = parseFinite(value);
+      if (!v) {
         throw TechParseError("line " + std::to_string(lineNo) + ": bad number '" +
                              std::string(value) + "'");
       }
+      return *v;
     };
 
     if (section == "tech") {

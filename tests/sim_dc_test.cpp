@@ -164,5 +164,38 @@ TEST(SimDc, FloatingNodeHeldByGmin) {
   EXPECT_NEAR(sol.voltage(b), 0.0, 1e-6);
 }
 
+TEST(SimDc, NonFiniteSourceFailsInBothSolverModes) {
+  // A NaN Newton update used to pass the convergence test (NaN > maxDelta
+  // is false), so V1 = nan came back converged with v(a) = nan.
+  const auto model = device::MosModel::create("level1");
+  for (const double value : {std::nan(""), HUGE_VAL}) {
+    Circuit c;
+    const auto a = c.node("a");
+    c.addVSource("V1", a, circuit::kGround, Waveform::makeDc(value));
+    c.addResistor("R1", a, circuit::kGround, 1e3);
+    for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+      SimOptions opt;
+      opt.solver = mode;
+      Simulator sim(c, kTech, *model, opt);
+      EXPECT_THROW((void)sim.dcOperatingPoint(), SimulationError) << value;
+      EXPECT_THROW((void)sim.transient(10e-9, 1e-9), SimulationError) << value;
+    }
+  }
+  // Finite at t = 0, so the operating point holds, then non-finite from
+  // the pulse edge on: the transient's own Newton loop must fail.
+  Circuit c;
+  const auto a = c.node("a");
+  c.addVSource("V1", a, circuit::kGround,
+               Waveform::makePulse(0.0, std::nan(""), 2e-9, 1e-9, 1e-9, 5e-9, 20e-9));
+  c.addResistor("R1", a, circuit::kGround, 1e3);
+  for (const SolverMode mode : {SolverMode::kFast, SolverMode::kReference}) {
+    SimOptions opt;
+    opt.solver = mode;
+    Simulator sim(c, kTech, *model, opt);
+    EXPECT_TRUE(sim.dcOperatingPoint().converged);
+    EXPECT_THROW((void)sim.transient(10e-9, 1e-9), SimulationError);
+  }
+}
+
 }  // namespace
 }  // namespace lo::sim

@@ -57,6 +57,24 @@ TEST(SpiceNumber, MalformedSuffixesThrowInsteadOfParsingThePrefix) {
   EXPECT_THROW((void)parseSpiceNumber("1.5 k"), NetlistParseError);
 }
 
+TEST(SpiceNumber, RejectsNonFiniteValues) {
+  // std::stod accepts nan and inf; a circuit value never is one.  A
+  // suffix can also overflow a finite mantissa.
+  for (const char* token : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity", "nank",
+                            "infmeg", "1e305meg", "-1e305t"}) {
+    EXPECT_THROW((void)parseSpiceNumber(token), NetlistParseError) << token;
+  }
+  EXPECT_DOUBLE_EQ(parseSpiceNumber("1e300k"), 1e303);
+}
+
+TEST(NetlistParse, RejectsNonFiniteSourceValues) {
+  // The netlist that used to come back converged with v(a) = nan.
+  EXPECT_THROW((void)parseNetlist("* t\nV1 a 0 DC nan\nR1 a 0 1k\n"), NetlistParseError);
+  EXPECT_THROW((void)parseNetlist("* t\nV1 a 0 DC 1\nR1 a 0 inf\n"), NetlistParseError);
+  EXPECT_THROW((void)parseNetlist("* t\nV1 a 0 PULSE(0 1 0 1n 1n nan 10n)\nR1 a 0 1k\n"),
+               NetlistParseError);
+}
+
 TEST(SpiceNumber, FormatRoundTrips) {
   for (double v : {2.5e-6, 3e6, 1e4, 4.7e-9, -3e-3, 1.5, 0.0}) {
     EXPECT_DOUBLE_EQ(parseSpiceNumber(formatSpiceNumber(v)), v) << v;

@@ -102,6 +102,21 @@ TEST(Technology, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Technology::parse("[unknown-section]\nx = 1\n"), TechParseError);
 }
 
+TEST(Technology, ParseRejectsTrailingJunkAndNonFiniteNumbers) {
+  // Each value must be one whole finite number: "3.3volts" is not 3.3.
+  for (const char* text :
+       {"[tech]\nnominal_vdd = 3.3volts\n", "[tech]\ntemperature = nan\n",
+        "[tech]\nplate_cap = inf\n", "[tech]\nnominal_vdd = 1e999\n",
+        "[rules]\nmetal1_min_width = 800nm\n", "[layer metal1]\nsheet_res = -inf\n",
+        "[model nmos]\nvto = 0.7xyz\n", "[model pmos]\nkp = nan\n",
+        "[model nmos]\ngamma = 0.5 0.6\n", "[model nmos]\nphi = \n"}) {
+    EXPECT_THROW((void)Technology::parse(text), TechParseError) << text;
+  }
+  const Technology t = Technology::parse("[tech]\nnominal_vdd = 3.3\n[model nmos]\nvto = 7e-1\n");
+  EXPECT_DOUBLE_EQ(t.nominalVdd, 3.3);
+  EXPECT_DOUBLE_EQ(t.nmos.vto, 0.7);
+}
+
 TEST(Technology, ParseIgnoresCommentsAndBlankLines) {
   const Technology t =
       Technology::parse("# comment\n\n[tech]\nname = commented\n# another\n");

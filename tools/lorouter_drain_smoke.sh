@@ -15,9 +15,11 @@ trap 'rm -rf "$SCRATCH"' EXIT
 FIFO="$SCRATCH/in"
 mkfifo "$FIFO"
 OUT="$SCRATCH/out"
+# Open the output before the FIFO: the FIFO open blocks until `exec 3>`
+# below, so the output file exists by the time the poll reads it.
 "$ROUTER" --worker "$WORKER" --shards 3 --threads 1 \
   --journal-root "$SCRATCH/journals" --cache-dir "$SCRATCH/cache" \
-  --request-timeout 120s < "$FIFO" > "$OUT" 2> "$SCRATCH/err" &
+  --request-timeout 120s > "$OUT" 2> "$SCRATCH/err" < "$FIFO" &
 PID=$!
 exec 3> "$FIFO"
 

@@ -44,9 +44,11 @@ REF_FRONT=$(sed -n 1p "$REF_OUT" | front_of)
 FIFO="$SCRATCH/in"
 mkfifo "$FIFO"
 OUT="$SCRATCH/out"
+# Open the output before the FIFO: the FIFO open blocks until `exec 3>`
+# below, so the output file exists by the time the poll reads it.
 "$ROUTER" --worker "$WORKER" --shards 2 --threads 2 --no-restart \
   --journal-root "$SCRATCH/journals" --cache-dir "$SCRATCH/cache" \
-  --request-timeout 120s < "$FIFO" > "$OUT" 2> "$SCRATCH/err" &
+  --request-timeout 120s > "$OUT" 2> "$SCRATCH/err" < "$FIFO" &
 PID=$!
 exec 3> "$FIFO"
 printf '%s\n%s\n' "$EXPLORE_ASYNC" '{"op":"health"}' >&3

@@ -26,9 +26,11 @@ done
 FIFO="$SCRATCH/in"
 mkfifo "$FIFO"
 OUT="$SCRATCH/out"
+# Open the output before the FIFO: the FIFO open blocks until `exec 3>`
+# below, so the output file exists by the time the poll reads it.
 "$ROUTER" --worker "$WORKER" --shards 3 --threads 1 \
   --journal-root "$JOURNALS" --cache-dir "$CACHE" --request-timeout 120s \
-  < "$FIFO" > "$OUT" 2> "$SCRATCH/err" &
+  > "$OUT" 2> "$SCRATCH/err" < "$FIFO" &
 PID=$!
 exec 3> "$FIFO"
 printf '%s%s\n' "$JOBS" '{"op":"health"}' >&3
