@@ -1,5 +1,6 @@
 #include "circuit/circuit.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace lo::circuit {
@@ -90,13 +91,17 @@ Mos& Circuit::addMos(std::string name, NodeId d, NodeId g, NodeId s, NodeId b,
 }
 
 Resistor& Circuit::addResistor(std::string name, NodeId a, NodeId b, double ohms) {
-  if (ohms <= 0) throw std::invalid_argument("resistor must have positive resistance");
+  if (!(std::isfinite(ohms) && ohms > 0)) {
+    throw std::invalid_argument("resistor must have finite positive resistance");
+  }
   resistors.push_back({std::move(name), a, b, ohms});
   return resistors.back();
 }
 
 Capacitor& Circuit::addCapacitor(std::string name, NodeId a, NodeId b, double farads) {
-  if (farads < 0) throw std::invalid_argument("capacitor must be non-negative");
+  if (!(std::isfinite(farads) && farads >= 0)) {
+    throw std::invalid_argument("capacitor must be finite and non-negative");
+  }
   capacitors.push_back({std::move(name), a, b, farads});
   return capacitors.back();
 }

@@ -28,8 +28,7 @@ namespace lo::explore {
 /// Inverse of spaceFromJson/optionsFromJson: serialise a space + options
 /// back into the request shape they parse.  Round trips are exact (the
 /// doubles survive bit-identically), so the explore session journal can
-/// store a session as its request and re-run it verbatim after a crash or
-/// a shard failover.
+/// store a session as its request and re-run it verbatim after a crash.
 [[nodiscard]] service::Json exploreRequestJson(const ExploreSpace& space,
                                                const ExploreOptions& options);
 

@@ -75,8 +75,8 @@ SessionReplay digestFrames(FrameReplay frames) {
         break;
       }
     }
-    // Duplicate started records for one id (a session handed off between
-    // shards logs on both) restart once, not once per record.
+    // Duplicate started records for one id restart once, not once per
+    // record: no writer here appends one twice, but a log is untrusted.
     for (const SessionRecord& seen : replay.pending) {
       if (skip) break;
       if (seen.id == rec.id) skip = true;

@@ -1,6 +1,6 @@
 // SessionJournal: the explore-session write-ahead log -- what makes a
-// long-running exploration survive the death of the process (or cluster
-// shard) that was driving it.
+// long-running exploration survive the death of the process that was
+// driving it.
 //
 // It reuses service::FramedLog, so the on-disk format is exactly the job
 // journal's: checksummed frames, durable appends, torn-tail truncation to

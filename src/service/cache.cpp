@@ -42,8 +42,8 @@ bool writeDurably(const std::filesystem::path& path, const std::string& text) {
   return ok;
 }
 
-/// Per-writer unique temp path for `path`.  Multiple daemons share one
-/// store directory (the cluster's peer-fill contract), so the staging file
+/// Per-writer unique temp path for `path`.  Two daemons may share one
+/// store directory through --cache-dir, so the staging file
 /// must be unique per process *and* per in-process writer: two writers
 /// racing the same fixed ".tmp" name would interleave into a corrupt file
 /// and publish it with a rename.  pid + a process-wide counter keeps every

@@ -21,8 +21,8 @@
 // Storage is a mutex-guarded in-memory LRU plus an optional on-disk JSON
 // store (one file per key) for cross-process reuse: a miss falls through
 // to disk before counting as a real miss, and every insert is written
-// through.  The store is safe to share between daemons (the cluster's
-// peer-fill path): staging files are pid/counter-uniquified before the
+// through.  The store is safe to share between daemons started on one
+// --cache-dir: staging files are pid/counter-uniquified before the
 // fsync+rename, so concurrent writers of the same key can never
 // interleave into one file, and the atomic rename means readers only ever
 // see complete entries whichever writer publishes last.

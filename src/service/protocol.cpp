@@ -187,8 +187,8 @@ Json ServiceProtocol::handle(const Json& request) {
   }
   const auto extra = extraOps_.find(op);
   if (extra != extraOps_.end()) return extra->second(request);
-  // Machine-readable like the admission rejections: routers and clients
-  // can distinguish "this daemon does not speak the op" from a failure.
+  // Machine-readable like the admission rejections: clients can
+  // distinguish "this daemon does not speak the op" from a failure.
   Json knownOps = Json::array();
   for (const char* builtin :
        {"synthesize", "sweep", "wait", "cancel", "stats", "health",

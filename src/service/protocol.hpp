@@ -27,10 +27,10 @@
 // way: {"error":{"code":"unknown_op","message":...,"known_ops":[...]}}.
 //
 // Synthesize / sweep acks carry the job's content-addressed result-cache
-// key ("cache_key", absent for no_cache jobs), so routers and smokes can
-// address results -- and shard them -- without re-deriving FNV-1a hashes
-// client-side.  {"summary":true} omits the (large) "result" body from
-// done outcomes; the result stays addressable through the cache key.
+// key ("cache_key", absent for no_cache jobs), so clients and smokes can
+// address results without re-deriving FNV-1a hashes client-side.
+// {"summary":true} omits the (large) "result" body from done outcomes;
+// the result stays addressable through the cache key.
 // See README.md for a request / response example and DESIGN.md for the
 // full schema.
 #pragma once
@@ -51,8 +51,8 @@ inline constexpr std::size_t kMaxRequestLineBytes = 1 << 20;
 /// Parse the shared job fields of a synthesize/sweep entry (topology,
 /// case, model, bias, spec, corner, priority, deadline_seconds,
 /// max_retries, no_cache).  This is the protocol's lenient schema, not the
-/// journal's full-fidelity one (serialize.hpp); it is exposed so the
-/// cluster router derives exactly the cache key the shard will.
+/// journal's full-fidelity one (serialize.hpp); it is exposed so tools and
+/// tests derive exactly the cache key the daemon will.
 [[nodiscard]] JobRequest parseJobRequest(const Json& request);
 
 class ServiceProtocol {

@@ -151,8 +151,8 @@ struct JobStatus {
   std::string label;
   JobState state = JobState::kQueued;
   /// Content-addressed result-cache key ("" for bypass-cache jobs); the
-  /// protocol surfaces it so clients and routers address results -- and
-  /// shard work -- without re-deriving the canonical hash.
+  /// protocol surfaces it so clients address results without re-deriving
+  /// the canonical hash.
   std::string cacheKey;
   bool cacheHit = false;   ///< Served from the cache (or a coalesced leader).
   bool coalesced = false;  ///< Waited on an identical in-flight job.

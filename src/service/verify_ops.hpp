@@ -4,8 +4,7 @@
 //
 // Installed through ServiceProtocol::registerOp like the explore ops, so
 // lo_service's core protocol keeps no dependency on when (or whether) the
-// op is wired in -- losynthd installs it at startup, and cluster routers
-// forward it to shards unchanged like any other registered op.
+// op is wired in -- losynthd installs it at startup.
 #pragma once
 
 #include "service/protocol.hpp"

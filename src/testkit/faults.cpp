@@ -36,9 +36,12 @@ FaultPlanOptions FaultPlanOptions::basic(std::uint64_t seed) {
   for (const FaultSite site : allFaultSites()) options.sites.insert(site);
   // The two crash sites are one-shot by nature (the first firing freezes
   // the journal), so the blanket rate would make every soak die in its
-  // first seconds.  They stay opt-in via explicitOps / journal_torn etc.
+  // first seconds.  Instead one simulated SIGKILL is pinned well into the
+  // load, so a journalled soak always crashes, restarts and replays; a
+  // soak without a journal never consults the site.
   options.sites.erase(FaultSite::kJournalTornWrite);
   options.sites.erase(FaultSite::kProcessKill);
+  options.explicitOps[FaultSite::kProcessKill] = {kBasicKillOp};
   return options;
 }
 

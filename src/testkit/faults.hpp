@@ -59,6 +59,11 @@ enum class FaultSite {
 /// Every injectable site, in enum order.
 [[nodiscard]] const std::vector<FaultSite>& allFaultSites();
 
+/// The submission at which the `basic` plan's one simulated SIGKILL fires
+/// (0-based kProcessKill operation; the soak consults the site only when
+/// it runs with a journal).
+inline constexpr std::uint64_t kBasicKillOp = 256;
+
 struct FaultPlanOptions {
   std::uint64_t seed = 1;
   /// Per-operation firing probability at every enabled site.
@@ -72,9 +77,9 @@ struct FaultPlanOptions {
   double overrunSeconds = 0.05;
 
   /// The standard `--faults basic` plan: every recoverable site enabled at
-  /// 10%.  The crash sites (kJournalTornWrite, kProcessKill) stay off --
-  /// the first firing freezes the journal for good, which is a dedicated
-  /// scenario, not background noise.
+  /// 10%.  The crash sites stay out of the rate -- the first firing freezes
+  /// the journal for good -- but one kProcessKill is pinned at operation
+  /// kBasicKillOp, so a journalled soak crashes once under load.
   [[nodiscard]] static FaultPlanOptions basic(std::uint64_t seed);
   /// No faults at all (the identity plan).
   [[nodiscard]] static FaultPlanOptions none(std::uint64_t seed = 1);

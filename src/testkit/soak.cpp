@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -353,13 +352,17 @@ SoakReport runSoak(const tech::Technology& technology, const SoakOptions& option
     report.recovery.tornTail = digest.tornTail;
 
     // Keys whose results already survived on the disk cache: re-running
-    // the engine for one of these would be a duplicated result.
+    // the engine for one of these would be a duplicated result.  "Survived"
+    // means a lookup hits, not that a file exists: an injected cache-write
+    // fault leaves a truncated entry at the final path, which every lookup
+    // treats as a miss, so re-running that key is recovery, not a duplicate.
     std::set<std::string> durableKeys;
     if (!options.cacheDir.empty()) {
+      service::CacheOptions probeOptions;
+      probeOptions.diskDir = options.cacheDir;
+      service::ResultCache probe(probeOptions);
       for (const service::JournalRecord& rec : digest.pending) {
-        if (rec.cacheKey.empty()) continue;
-        if (std::filesystem::exists(std::filesystem::path(options.cacheDir) /
-                                    (rec.cacheKey + ".json"))) {
+        if (!rec.cacheKey.empty() && probe.lookup(rec.cacheKey).has_value()) {
           durableKeys.insert(rec.cacheKey);
         }
       }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "circuit/ota.hpp"
 
 namespace lo::circuit {
@@ -35,6 +37,23 @@ TEST(Circuit, AddAndFindElements) {
   EXPECT_NE(c.findCapacitor("C1"), nullptr);
   EXPECT_THROW(c.addResistor("R2", a, b, 0.0), std::invalid_argument);
   EXPECT_THROW(c.addCapacitor("C2", a, b, -1e-15), std::invalid_argument);
+}
+
+TEST(Circuit, NonFiniteElementValuesAreRejected) {
+  // A NaN fails every ordered comparison, so a sign test alone lets it
+  // through to the MNA matrices; the simulator's LU assumes finite entries.
+  Circuit c;
+  const NodeId a = c.node("a"), b = c.node("b");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    EXPECT_THROW(c.addResistor("R", a, b, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(c.addCapacitor("C", a, kGround, bad), std::invalid_argument) << bad;
+  }
+  EXPECT_TRUE(c.resistors.empty());
+  EXPECT_TRUE(c.capacitors.empty());
+  // Zero capacitance stays legal (an absent parasitic).
+  c.addCapacitor("C0", a, kGround, 0.0);
+  EXPECT_EQ(c.capacitors.size(), 1u);
 }
 
 TEST(Circuit, ExplicitCapAtSumsAttachedCaps) {

@@ -72,11 +72,17 @@ TEST(FaultPlan, PresetsParseAndUnknownNamesThrow) {
   const FaultPlanOptions basic = FaultPlanOptions::preset("basic", 9);
   EXPECT_EQ(basic.seed, 9u);
   EXPECT_DOUBLE_EQ(basic.rate, 0.1);
-  // Every recoverable site — the two one-shot crash sites stay opt-in, or
-  // the blanket rate would kill every soak in its first seconds.
+  // Every recoverable site — the two one-shot crash sites stay out of the
+  // rate, or it would kill every soak in its first seconds; one kill is
+  // pinned instead, so a journalled soak crashes exactly once.
   EXPECT_EQ(basic.sites.size(), allFaultSites().size() - 2);
   EXPECT_FALSE(basic.sites.count(FaultSite::kJournalTornWrite));
   EXPECT_FALSE(basic.sites.count(FaultSite::kProcessKill));
+  const FaultPlan basicPlan(basic);
+  for (std::uint64_t op = 0; op < 2 * kBasicKillOp; ++op) {
+    EXPECT_EQ(basicPlan.fires(FaultSite::kProcessKill, op), op == kBasicKillOp) << op;
+    EXPECT_FALSE(basicPlan.fires(FaultSite::kJournalTornWrite, op)) << op;
+  }
 
   const FaultPlanOptions torn = FaultPlanOptions::preset("journal_torn_write", 9);
   EXPECT_EQ(torn.sites.size(), 1u);
@@ -330,6 +336,39 @@ TEST(Soak, CrashRecoveryPhaseLosesAndDuplicatesNothing) {
   }
   const service::Json json = report.toJson();
   EXPECT_TRUE(json.at("recovery").at("crashed").asBool());
+}
+
+TEST(Soak, TruncatedCacheEntriesAreReRunNotCountedAsDuplicates) {
+  // Every cache write fails the way a dying writer's would, leaving a
+  // truncated entry at the final path.  After the crash those entries are
+  // misses, so the restarted daemon must re-run their jobs -- and the soak
+  // must not mistake that for re-running a result that survived.
+  SoakOptions options;
+  options.seed = 11;
+  options.clients = 2;
+  options.schedulerThreads = 2;
+  options.durationSeconds = 30.0;
+  options.maxRequestsPerClient = 20;
+  const std::string scratch =
+      (std::filesystem::temp_directory_path() /
+       ("lo_testkit_truncated_" + std::to_string(::getpid())))
+          .string();
+  options.cacheDir = scratch + "/cache";
+  options.journalDir = scratch + "/journal";
+  options.faults.seed = 11;
+  options.faults.rate = 1.0;
+  options.faults.sites = {FaultSite::kCacheWrite};
+  options.faults.explicitOps[FaultSite::kProcessKill] = {13};
+
+  const SoakReport report = runSoak(kTech, options);
+  std::filesystem::remove_all(scratch);
+
+  EXPECT_TRUE(report.ok()) << report.toJson().dump();
+  ASSERT_TRUE(report.recovery.crashed);
+  ASSERT_GT(report.recovery.pendingAtBoot, 0u) << report.toJson().dump();
+  EXPECT_GT(report.recovery.reRun, 0u) << report.toJson().dump();
+  EXPECT_EQ(report.recovery.servedFromCache + report.recovery.reRun,
+            report.recovery.pendingAtBoot);
 }
 
 TEST(Soak, TornWritePresetSurvivesRecovery) {

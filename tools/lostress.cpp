@@ -14,7 +14,8 @@
 //
 // Flags:
 //   --seed N             fault-plan and workload seed (default 1)
-//   --faults NAME        plan preset: "basic" (recoverable sites @ 10%),
+//   --faults NAME        plan preset: "basic" (recoverable sites @ 10%, and
+//                        one simulated kill when journalled),
 //                        "journal_torn_write" (torn journal appends) or "none"
 //   --duration T         wall-clock soak length, e.g. 10s or 2.5 (seconds)
 //   --clients N          client threads (default 4)
@@ -26,30 +27,10 @@
 //                        adds a kill -> restart -> replay recovery phase
 //   --drain-timeout T    bound on the post-soak drain (default 60s)
 //   --tech PATH          technology file (default: built-in generic060)
-//
-// Cluster mode (--worker): instead of an in-process daemon, the soak
-// boots a ClusterRouter over real losynthd child shards and drives it
-// through the same line protocol; see cluster/soak.hpp for the invariants
-// (no lost jobs, no leaked shard failures, post-drain resubmission all
-// cache hits, kill evidence).
-//
-//   $ lostress --worker ./losynthd --shards 3 --kill-shard --duration 5s
-//              --journal-dir /tmp/ls/journal --cache-dir /tmp/ls/cache
-//
-//   --worker PATH        losynthd binary: switches to cluster mode
-//   --shards N           worker shards behind the router (default 2)
-//   --kill-shard         SIGKILL one shard mid-soak; the run must absorb it
-//                        (requires --journal-dir for the replay)
-//   --chaos SEED         seeded chaos schedule: kill -9, SIGSTOP wedges and
-//                        drain/re-add events at deterministic request
-//                        indices, with an async exploration riding through
-//                        the storm (its front must match a clean re-run
-//                        byte for byte); SEED 0 derives one from --seed
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "cluster/soak.hpp"
 #include "tech/technology.hpp"
 #include "testkit/soak.hpp"
 
@@ -60,9 +41,7 @@ void usage(const char* argv0) {
                "usage: %s [--seed N] [--faults basic|none|journal_torn_write]\n"
                "          [--duration T] [--clients N] [--threads N] [--pool N]\n"
                "          [--max-requests N] [--cache-dir PATH]\n"
-               "          [--journal-dir PATH] [--drain-timeout T] [--tech PATH]\n"
-               "          [--worker LOSYNTHD [--shards N] [--kill-shard]\n"
-               "           [--chaos SEED]]\n",
+               "          [--journal-dir PATH] [--drain-timeout T] [--tech PATH]\n",
                argv0);
 }
 
@@ -87,11 +66,6 @@ int main(int argc, char** argv) {
   testkit::SoakOptions options;
   std::string faultsName = "none";
   std::string techPath;
-  std::string workerBin;
-  int shards = 2;
-  bool killShard = false;
-  bool chaos = false;
-  std::uint64_t chaosSeed = 0;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -113,13 +87,6 @@ int main(int argc, char** argv) {
     else if (arg == "--journal-dir") options.journalDir = value();
     else if (arg == "--drain-timeout") options.drainTimeoutSeconds = parseDuration(value());
     else if (arg == "--tech") techPath = value();
-    else if (arg == "--worker") workerBin = value();
-    else if (arg == "--shards") shards = std::stoi(value());
-    else if (arg == "--kill-shard") killShard = true;
-    else if (arg == "--chaos") {
-      chaos = true;
-      chaosSeed = std::stoull(value());
-    }
     else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -131,52 +98,6 @@ int main(int argc, char** argv) {
   }
 
   try {
-    if (!workerBin.empty()) {
-      cluster::ClusterSoakOptions clusterOptions;
-      clusterOptions.seed = options.seed;
-      clusterOptions.clients = options.clients;
-      clusterOptions.durationSeconds = options.durationSeconds;
-      clusterOptions.maxRequestsPerClient = options.maxRequestsPerClient;
-      clusterOptions.poolSize = options.poolSize;
-      clusterOptions.drainTimeoutSeconds = options.drainTimeoutSeconds;
-      clusterOptions.killOneShard = killShard;
-      clusterOptions.chaos = chaos;
-      clusterOptions.chaosSeed = chaosSeed;
-      clusterOptions.router.shards = shards;
-      if (chaos) {
-        // Wedged shards stall a request for the full timeout; keep the
-        // chaos run snappy and let backoff jitter follow the chaos seed.
-        clusterOptions.router.requestTimeoutSeconds = 3.0;
-        if (chaosSeed != 0) clusterOptions.router.backoffJitterSeed = chaosSeed;
-      }
-      clusterOptions.router.journalRoot = options.journalDir;
-      clusterOptions.router.cacheDir = options.cacheDir;
-      clusterOptions.router.workerArgv = {workerBin, "--threads",
-                                          std::to_string(options.schedulerThreads)};
-      if (!techPath.empty()) {
-        clusterOptions.router.technology = tech::Technology::fromFile(techPath);
-        clusterOptions.router.workerArgv.push_back("--tech");
-        clusterOptions.router.workerArgv.push_back(techPath);
-      }
-
-      const cluster::ClusterSoakReport report = cluster::runClusterSoak(clusterOptions);
-      std::printf("%s\n", report.toJson().dump().c_str());
-      std::fprintf(stderr,
-                   "lostress: cluster: %llu requests over %d shard(s) in "
-                   "%.2fs, %llu jobs tracked, %llu restart(s), %llu "
-                   "rerouted, %zu violation(s)\n",
-                   static_cast<unsigned long long>(report.requests), shards,
-                   report.elapsedSeconds,
-                   static_cast<unsigned long long>(report.trackedJobs),
-                   static_cast<unsigned long long>(report.restarts),
-                   static_cast<unsigned long long>(report.rerouted),
-                   report.violations.size());
-      for (const std::string& v : report.violations) {
-        std::fprintf(stderr, "lostress: VIOLATION: %s\n", v.c_str());
-      }
-      return report.ok() ? 0 : 1;
-    }
-
     options.faults = testkit::FaultPlanOptions::preset(faultsName, options.seed);
     const tech::Technology technology = techPath.empty()
                                             ? tech::Technology::generic060()
