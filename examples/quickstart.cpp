@@ -8,7 +8,8 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "layout/writers.hpp"
 
 int main() {
@@ -27,14 +28,16 @@ int main() {
 
   // 3. Run the layout-oriented synthesis flow: sizing <-> layout parasitic
   //    calls until the parasitics stop changing, then generate + extract +
-  //    verify by simulation.
-  core::FlowOptions options;
+  //    verify by simulation.  The topology adapter is caller-owned, so
+  //    after the run it still holds the sized design and the layout.
+  core::EngineOptions options;
   options.sizingCase = core::SizingCase::kCase4;
-  core::SynthesisFlow flow(tech, options);
-  const core::FlowResult result = flow.run(specs);
+  const core::SynthesisEngine engine(tech, options);
+  core::FoldedCascodeOtaTopology ota(tech, engine.model());
+  const core::EngineResult result = engine.run(ota, specs);
 
   // 4. Inspect the outcome.
-  const auto& d = result.sizing.design;
+  const auto& d = ota.sizingResult().design;
   std::printf("synthesised in %d layout calls (converged: %s)\n", result.layoutCalls,
               result.parasiticConverged ? "yes" : "no");
   std::printf("tail current %.0f uA, folded-branch current %.0f uA\n",
@@ -58,9 +61,9 @@ int main() {
 
   // 5. The physical layout.
   const std::string svgPath = layout::outputPath("quickstart_ota.svg");
-  layout::writeFile(svgPath, layout::toSvg(result.layout.cell.shapes));
+  layout::writeFile(svgPath, layout::toSvg(ota.layout().cell.shapes));
   std::printf("\nlayout: %.1f x %.1f um, written to %s\n",
-              result.layout.width / 1e3, result.layout.height / 1e3,
+              ota.layout().width / 1e3, ota.layout().height / 1e3,
               svgPath.c_str());
   return 0;
 }

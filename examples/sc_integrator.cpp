@@ -13,7 +13,8 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "sim/simulator.hpp"
 
 int main() {
@@ -23,17 +24,18 @@ int main() {
   const tech::Technology tech = tech::Technology::generic060();
 
   // Synthesise the OTA first (case 4, the full methodology).
-  core::FlowOptions options;
+  core::EngineOptions options;
   options.sizingCase = core::SizingCase::kCase4;
-  core::SynthesisFlow flow(tech, options);
-  const core::FlowResult ota = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(tech, options);
+  core::FoldedCascodeOtaTopology topology(tech, engine.model());
+  const core::EngineResult ota = engine.run(topology, sizing::OtaSpecs{});
   std::printf("OTA ready: %.1f dB, %.1f MHz GBW\n", ota.measured.dcGainDb,
               ota.measured.gbwHz / 1e6);
 
   // --- Build the integrator around the extracted OTA. ---
   circuit::Circuit c;
   c.title = "switched-capacitor integrator";
-  circuit::FoldedCascodeOtaDesign d = ota.extractedDesign;
+  circuit::FoldedCascodeOtaDesign d = topology.extractedDesign();
   d.cload = 1e-12;  // The integrator provides its own loading.
   const circuit::OtaNodes nodes = circuit::instantiateOta(c, d);
 

@@ -10,7 +10,8 @@
 //   $ ./tech_eval
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "layout/writers.hpp"
 
 namespace {
@@ -18,15 +19,16 @@ namespace {
 using namespace lo;
 
 void evaluate(const tech::Technology& tech, const sizing::OtaSpecs& specs) {
-  core::FlowOptions options;
+  core::EngineOptions options;
   options.sizingCase = core::SizingCase::kCase4;
-  core::SynthesisFlow flow(tech, options);
-  const core::FlowResult r = flow.run(specs);
+  const core::SynthesisEngine engine(tech, options);
+  core::FoldedCascodeOtaTopology ota(tech, engine.model());
+  const core::EngineResult r = engine.run(ota, specs);
   std::printf("%-12s gain %6.1f dB  GBW %6.1f MHz  PM %5.1f deg  power %5.2f mW  "
               "noise %6.1f uV  area %.3f mm^2\n",
               tech.name.c_str(), r.measured.dcGainDb, r.measured.gbwHz / 1e6,
               r.measured.phaseMarginDeg, r.measured.powerMw, r.measured.inputNoiseUv,
-              (r.layout.width / 1e6) * (r.layout.height / 1e6));
+              (ota.layout().width / 1e6) * (ota.layout().height / 1e6));
 }
 
 }  // namespace

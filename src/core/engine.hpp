@@ -11,9 +11,6 @@
 // engine owns the convergence bookkeeping, the policy schedule and the
 // generation/extraction/verification tail; the Topology supplies the
 // circuit-specific design plan and layout program.
-//
-// SynthesisFlow (flow.hpp) and runTwoStageFlow (two_stage_flow.hpp) are
-// thin wrappers over this engine that preserve the original result types.
 #pragma once
 
 #include <functional>
@@ -134,8 +131,8 @@ struct EngineIteration {
 
 /// How a parasitic loop that fell out of `maxLayoutCalls` actually failed
 /// (or how it succeeded).  Downstream layers treat anything other than
-/// kConverged as a degraded result: the scheduler surfaces it, the Pareto
-/// archive refuses the point, and the sweep driver reports it.
+/// kConverged as a degraded result: the scheduler surfaces it and the
+/// Pareto archive refuses the point.
 enum class ConvergenceVerdict {
   kConverged,    ///< Critical-net caps settled below the tolerance.
   kOscillating,  ///< The cap vector revisits an earlier state (a cycle).

@@ -427,8 +427,8 @@ void JobScheduler::runJob(const RecordPtr& rec, std::unique_lock<std::mutex>& lo
       }
       try {
         if (options_.preRunHook) options_.preRunHook(request, attempt);
-        // SweepDriver's isolation pattern: a private Technology at the
-        // job's corner and a private MosModel inside the engine.
+        // Per-job isolation: a private Technology at the job's corner and
+        // a private MosModel inside the engine.
         const tech::Technology jobTech = baseTech_.atCorner(request.corner);
         const core::SynthesisEngine engine(jobTech, engineOptions);
         result = engine.run(request.specs);

@@ -1,10 +1,10 @@
 // JobScheduler: the request-serving shell over SynthesisEngine.
 //
-// A bounded submission queue feeds a worker pool; every job runs with the
-// SweepDriver's isolation pattern (a private Technology at the job's
-// corner, a private MosModel inside the engine), so workers share no
-// mutable engine state.  On top of the plain pool the scheduler adds what
-// a service needs and a batch driver does not:
+// A bounded submission queue feeds a worker pool.  Every job runs in
+// isolation: a private Technology shifted to the job's corner and a
+// private MosModel inside its engine, so workers share no mutable engine
+// state and a batch gives bit-identical results at any thread count.  On
+// top of the plain pool the scheduler adds what a service needs:
 //
 //  * priorities -- higher runs first, FIFO within a priority class;
 //  * per-job deadlines -- expired jobs are dropped before they run, and a
@@ -248,8 +248,9 @@ class JobScheduler {
   /// Returns false when the job is unknown or already terminal.
   bool cancel(std::uint64_t id);
 
-  /// Convenience batch driver: submit everything, wait for everything,
-  /// return statuses in request order.
+  /// The batch path: submit everything, wait for everything, return
+  /// statuses in request order.  A job whose engine run throws ends
+  /// kFailed with the exception text; the rest of the batch still runs.
   [[nodiscard]] std::vector<JobStatus> runBatch(const std::vector<JobRequest>& requests);
 
   /// The cache key submit() would assign to `request` ("" when it bypasses

@@ -68,39 +68,6 @@ Circuit buildAmpAcTestbench(const AmpInstantiateFn& instantiate, double inputCm,
   return c;
 }
 
-RangeMeasurement measureUsableRange(const tech::Technology& t,
-                                    const device::MosModel& model,
-                                    const AmpInstantiateFn& instantiate, double vdd,
-                                    double trackingTolerance) {
-  // Hard unity feedback; sweep the input from rail to rail.
-  Circuit c;
-  c.title = "range testbench";
-  instantiate(c);
-  const NodeId out = *c.findNode("out");
-  const NodeId inn = *c.findNode("inn");
-  const NodeId inp = *c.findNode("inp");
-  c.addVSource("VSHORT", out, inn, Waveform::makeDc(0.0));
-  c.addVSource("VIN", inp, circuit::kGround, Waveform::makeDc(vdd / 2));
-
-  sim::SimOptions simOpt;
-  simOpt.tempK = t.temperature;
-  sim::Simulator sim(c, t, model, simOpt);
-  const auto sweep = sim.dcSweep("VIN", 0.05, vdd - 0.05, 66);
-
-  RangeMeasurement r;
-  bool inRange = false;
-  for (const auto& pt : sweep) {
-    const bool tracks =
-        std::abs(pt.solution.voltage(out) - pt.value) < trackingTolerance;
-    if (tracks && !inRange) {
-      r.low = pt.value;
-      inRange = true;
-    }
-    if (tracks) r.high = pt.value;
-  }
-  return r;
-}
-
 OtaPerformance measureAmplifier(const tech::Technology& t, const device::MosModel& model,
                                 const AmpInstantiateFn& instantiate, double inputCm,
                                 double vdd, const layout::ParasiticReport* parasitics,

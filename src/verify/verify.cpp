@@ -130,7 +130,7 @@ void measureSwing(const tech::Technology& t, const device::MosModel& model,
 }
 
 /// Unity buffer swept rail to rail; the ICMR is the window where the
-/// output tracks the input (parasitic-aware measureUsableRange).
+/// output tracks the input.
 void measureIcmr(const tech::Technology& t, const device::MosModel& model,
                  const sizing::AmpInstantiateFn& instantiate, double vdd,
                  const layout::ParasiticReport* parasitics,

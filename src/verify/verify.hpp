@@ -20,7 +20,9 @@
 //    over which the stage tracks its ideal line within the tracking
 //    tolerance.
 //  * ICMR -- unity buffer swept rail to rail; the window where the output
-//    tracks the input (the measureUsableRange pattern, parasitic-aware).
+//    tracks the input within the tracking tolerance.  For a buffer this is
+//    the intersection of the input common-mode range and the output swing
+//    (the two range specs of the paper's Table 1 caption).
 //  * Offset -- DC unity feedback forces out = inp - Voffset at the
 //    operating point.
 //  * PSRR -- AC solve with the excitation moved onto the supply branch

@@ -5,8 +5,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/flow.hpp"
-#include "core/sweep.hpp"
+#include "core/ota_topology.hpp"
 
 namespace lo::core {
 namespace {
@@ -226,16 +225,16 @@ TEST(Engine, IterationsCarryAllCriticalNets) {
 }
 
 TEST(Engine, RegistryRunMatchesWrapperRun) {
-  // The registry-driven overload and the explicit-topology overload must
-  // produce identical numbers.
+  // The registry-driven overload wraps the explicit-topology overload
+  // around a registry-made adapter; both must produce identical numbers.
   EngineOptions opt;
   const SynthesisEngine engine(kTech, opt);
   const EngineResult viaRegistry = engine.run(sizing::OtaSpecs{});
-  FlowOptions flowOpt;
-  const FlowResult viaWrapper = SynthesisFlow(kTech, flowOpt).run(sizing::OtaSpecs{});
-  EXPECT_DOUBLE_EQ(viaRegistry.measured.gbwHz, viaWrapper.measured.gbwHz);
-  EXPECT_DOUBLE_EQ(viaRegistry.predicted.dcGainDb, viaWrapper.predicted.dcGainDb);
-  EXPECT_EQ(viaRegistry.layoutCalls, viaWrapper.layoutCalls);
+  FoldedCascodeOtaTopology topology(kTech, engine.model());
+  const EngineResult viaTopology = engine.run(topology, sizing::OtaSpecs{});
+  EXPECT_DOUBLE_EQ(viaRegistry.measured.gbwHz, viaTopology.measured.gbwHz);
+  EXPECT_DOUBLE_EQ(viaRegistry.predicted.dcGainDb, viaTopology.predicted.dcGainDb);
+  EXPECT_EQ(viaRegistry.layoutCalls, viaTopology.layoutCalls);
 }
 
 TEST(Engine, TwoStageConvergenceWatchesCompensationNets) {
@@ -301,90 +300,6 @@ TEST(EngineHooks, HookedRunIsBitIdenticalToUnhooked) {
                         sizeof(sizing::OtaPerformance)),
             0);
   EXPECT_EQ(plain.layoutCalls, hooked.layoutCalls);
-}
-
-// --- Sweep driver. ---
-
-std::vector<SweepJob> sweepJobs() {
-  std::vector<SweepJob> jobs;
-  for (double gbwMhz : {40.0, 65.0}) {
-    for (tech::ProcessCorner corner :
-         {tech::ProcessCorner::kTypical, tech::ProcessCorner::kSlow,
-          tech::ProcessCorner::kFast}) {
-      SweepJob job;
-      job.label = "ota_" + std::to_string(static_cast<int>(gbwMhz)) + "_" +
-                  tech::cornerName(corner);
-      job.specs.gbw = gbwMhz * 1e6;
-      job.corner = corner;
-      jobs.push_back(job);
-    }
-  }
-  for (double gbwMhz : {20.0, 30.0}) {
-    SweepJob job;
-    job.label = "two_stage_" + std::to_string(static_cast<int>(gbwMhz));
-    job.options.topology = kTwoStageTopologyName;
-    job.specs.gbw = gbwMhz * 1e6;
-    jobs.push_back(job);
-  }
-  return jobs;  // 8 jobs.
-}
-
-TEST(SweepDriver, DeterministicAcrossThreadCounts) {
-  const std::vector<SweepJob> jobs = sweepJobs();
-  ASSERT_GE(jobs.size(), 8u);
-  const auto serial = SweepDriver(kTech, 1).run(jobs);
-  const auto threaded = SweepDriver(kTech, 4).run(jobs);
-  ASSERT_EQ(serial.size(), jobs.size());
-  ASSERT_EQ(threaded.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SCOPED_TRACE(jobs[i].label);
-    EXPECT_EQ(serial[i].index, i);
-    EXPECT_EQ(threaded[i].index, i);
-    EXPECT_EQ(serial[i].label, jobs[i].label);
-    ASSERT_TRUE(serial[i].ok) << serial[i].error;
-    ASSERT_TRUE(threaded[i].ok) << threaded[i].error;
-    // Bit-for-bit: the performance records and convergence history must be
-    // byte-identical regardless of scheduling.
-    EXPECT_EQ(std::memcmp(&serial[i].result.measured, &threaded[i].result.measured,
-                          sizeof(sizing::OtaPerformance)),
-              0);
-    EXPECT_EQ(std::memcmp(&serial[i].result.predicted, &threaded[i].result.predicted,
-                          sizeof(sizing::OtaPerformance)),
-              0);
-    EXPECT_EQ(serial[i].result.layoutCalls, threaded[i].result.layoutCalls);
-    ASSERT_EQ(serial[i].result.iterations.size(), threaded[i].result.iterations.size());
-    for (std::size_t k = 0; k < serial[i].result.iterations.size(); ++k) {
-      const auto& a = serial[i].result.iterations[k];
-      const auto& b = threaded[i].result.iterations[k];
-      ASSERT_EQ(a.netCaps.size(), b.netCaps.size());
-      for (std::size_t n = 0; n < a.netCaps.size(); ++n) {
-        EXPECT_DOUBLE_EQ(a.netCaps[n], b.netCaps[n]);
-      }
-    }
-  }
-}
-
-TEST(SweepDriver, BadJobReportsErrorWithoutAbortingSweep) {
-  std::vector<SweepJob> jobs;
-  SweepJob good;
-  good.label = "good";
-  jobs.push_back(good);
-  SweepJob bad;
-  bad.label = "bad";
-  bad.options.topology = "no_such_topology";
-  jobs.push_back(bad);
-  const auto outcomes = SweepDriver(kTech, 2).run(jobs);
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_TRUE(outcomes[0].ok);
-  EXPECT_FALSE(outcomes[1].ok);
-  EXPECT_NE(outcomes[1].error.find("no_such_topology"), std::string::npos);
-}
-
-TEST(SweepDriver, WorkerCountClampsToJobsAndFloorsAtOne) {
-  const SweepDriver driver(kTech, 8);
-  EXPECT_EQ(driver.workerCount(3), 3);
-  EXPECT_EQ(driver.workerCount(100), 8);
-  EXPECT_EQ(SweepDriver(kTech, -5).workerCount(0), 1);
 }
 
 }  // namespace

@@ -4,18 +4,37 @@
 
 #include <cstring>
 
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "layout/writers.hpp"
 #include "sizing/montecarlo.hpp"
 #include "sizing/ota_sizer.hpp"
 #include "layout/drc.hpp"
 #include "sim/op_report.hpp"
 #include "sizing/two_stage.hpp"
+#include "verify/verify.hpp"
 
 namespace lo {
 namespace {
 
 const tech::Technology kTech = tech::Technology::generic060();
+
+/// One folded-cascode engine run on a caller-owned adapter, which then
+/// holds the layout, the extracted design and the bias generator.  The
+/// engine owns the model the adapter was built against.
+struct OtaRun {
+  explicit OtaRun(core::EngineOptions options = {}) : engine(kTech, std::move(options)) {}
+
+  core::SynthesisEngine engine;
+  core::FoldedCascodeOtaTopology topology{kTech, engine.model()};
+  core::EngineResult result = engine.run(topology, sizing::OtaSpecs{});
+
+  [[nodiscard]] const device::MosModel& model() const { return engine.model(); }
+  [[nodiscard]] const circuit::FoldedCascodeOtaDesign& extracted() const {
+    return topology.extractedDesign();
+  }
+  [[nodiscard]] const layout::OtaLayoutResult& layout() const { return topology.layout(); }
+};
 
 // --- GDSII writer. ---
 
@@ -103,13 +122,11 @@ TEST(Resistance, TrunkResistanceScalesWithLength) {
 }
 
 TEST(Resistance, ReportCarriesRoutingResistance) {
-  const core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const OtaRun r;
   for (const char* net : {"x1", "out", "tail"}) {
-    ASSERT_TRUE(r.layout.parasitics.nets.count(net)) << net;
-    EXPECT_GT(r.layout.parasitics.nets.at(net).routingRes, 0.1) << net;
-    EXPECT_LT(r.layout.parasitics.nets.at(net).routingRes, 500.0) << net;
+    ASSERT_TRUE(r.layout().parasitics.nets.count(net)) << net;
+    EXPECT_GT(r.layout().parasitics.nets.at(net).routingRes, 0.1) << net;
+    EXPECT_LT(r.layout().parasitics.nets.at(net).routingRes, 500.0) << net;
   }
 }
 
@@ -132,9 +149,7 @@ TEST(Corners, DesignSurvivesAllCorners) {
   // Design at typical, verify the extracted netlist at every corner: the
   // amplifier must stay functional (this is the statistical-reliability
   // angle of the paper's verification interface).
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const OtaRun r;
   const auto model = device::MosModel::create("ekv");
 
   // Same-direction corners keep the branch currents balanced, so the fixed
@@ -147,7 +162,7 @@ TEST(Corners, DesignSurvivesAllCorners) {
                                 tech::ProcessCorner::kFast}) {
     const tech::Technology corner = kTech.atCorner(c);
     sizing::OtaVerifier verifier(corner, *model);
-    const auto m = verifier.verify(r.extractedDesign, &r.layout.parasitics);
+    const auto m = verifier.verify(r.extracted(), &r.layout().parasitics);
     EXPECT_GT(m.dcGainDb, 55.0) << tech::cornerName(c);
     EXPECT_GT(m.phaseMarginDeg, 45.0) << tech::cornerName(c);
     EXPECT_GT(m.gbwHz, 30e6) << tech::cornerName(c);
@@ -161,7 +176,7 @@ TEST(Corners, DesignSurvivesAllCorners) {
        {tech::ProcessCorner::kSlowNFastP, tech::ProcessCorner::kFastNSlowP}) {
     const tech::Technology corner = kTech.atCorner(c);
     sizing::OtaVerifier verifier(corner, *model);
-    EXPECT_NO_THROW((void)verifier.verify(r.extractedDesign, &r.layout.parasitics))
+    EXPECT_NO_THROW((void)verifier.verify(r.extracted(), &r.layout().parasitics))
         << tech::cornerName(c);
   }
 }
@@ -170,21 +185,19 @@ TEST(Corners, BiasGeneratorRescuesCrossCorners) {
   // With the transistor-level bias generator the bias voltages track the
   // process, so even the cross corners that break fixed ideal biases keep
   // the amplifier healthy.
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  const auto bias = sizing::designOtaBias(kTech, flow.model(), r.extractedDesign);
+  const OtaRun r;
+  const auto bias = sizing::designOtaBias(kTech, r.model(), r.extracted());
   for (tech::ProcessCorner c :
        {tech::ProcessCorner::kTypical, tech::ProcessCorner::kSlow,
         tech::ProcessCorner::kFast, tech::ProcessCorner::kSlowNFastP,
         tech::ProcessCorner::kFastNSlowP}) {
     const tech::Technology corner = kTech.atCorner(c);
     const auto m = sizing::measureAmplifier(
-        corner, flow.model(),
+        corner, r.model(),
         [&](circuit::Circuit& ck) {
-          circuit::instantiateOtaWithBias(ck, r.extractedDesign, bias);
+          circuit::instantiateOtaWithBias(ck, r.extracted(), bias);
         },
-        r.extractedDesign.inputCm, r.extractedDesign.vdd, &r.layout.parasitics);
+        r.extracted().inputCm, r.extracted().vdd, &r.layout().parasitics);
     EXPECT_GT(m.dcGainDb, 60.0) << tech::cornerName(c);
     EXPECT_GT(m.phaseMarginDeg, 55.0) << tech::cornerName(c);
     EXPECT_NEAR(m.gbwHz, 65e6, 65e6 * 0.12) << tech::cornerName(c);
@@ -192,33 +205,30 @@ TEST(Corners, BiasGeneratorRescuesCrossCorners) {
 }
 
 TEST(Corners, BiasGeneratorMatchesIdealBiasAtTypical) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  const auto bias = sizing::designOtaBias(kTech, flow.model(), r.extractedDesign);
+  const OtaRun r;
+  const auto bias = sizing::designOtaBias(kTech, r.model(), r.extracted());
   const auto m = sizing::measureAmplifier(
-      kTech, flow.model(),
+      kTech, r.model(),
       [&](circuit::Circuit& ck) {
-        circuit::instantiateOtaWithBias(ck, r.extractedDesign, bias);
+        circuit::instantiateOtaWithBias(ck, r.extracted(), bias);
       },
-      r.extractedDesign.inputCm, r.extractedDesign.vdd, &r.layout.parasitics);
+      r.extracted().inputCm, r.extracted().vdd, &r.layout().parasitics);
   // Within a few percent of the ideal-bias measurement.
-  EXPECT_NEAR(m.gbwHz, r.measured.gbwHz, r.measured.gbwHz * 0.06);
-  EXPECT_NEAR(m.dcGainDb, r.measured.dcGainDb, 1.5);
+  EXPECT_NEAR(m.gbwHz, r.result.measured.gbwHz, r.result.measured.gbwHz * 0.06);
+  EXPECT_NEAR(m.dcGainDb, r.result.measured.dcGainDb, 1.5);
   // The generator's four reference legs cost a little extra power.
-  EXPECT_GT(m.powerMw, r.measured.powerMw);
-  EXPECT_LT(m.powerMw, r.measured.powerMw + 4.0 * bias.biasCurrent * 3.3 * 1e3 + 0.05);
+  EXPECT_GT(m.powerMw, r.result.measured.powerMw);
+  EXPECT_LT(m.powerMw, r.result.measured.powerMw + 4.0 * bias.biasCurrent * 3.3 * 1e3 + 0.05);
 }
 
 TEST(Corners, FlowDrawsTheBiasGenerator) {
-  core::FlowOptions opt;
+  core::EngineOptions opt;
   opt.includeBiasGenerator = true;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const OtaRun r(opt);
   // Bias devices drawn and DRC-clean.
-  EXPECT_TRUE(r.layout.floorplan.leaves.count("MNB1"));
-  EXPECT_TRUE(r.layout.floorplan.leaves.count("MPB2"));
-  const auto violations = layout::runDrc(kTech, r.layout.cell.shapes);
+  EXPECT_TRUE(r.layout().floorplan.leaves.count("MNB1"));
+  EXPECT_TRUE(r.layout().floorplan.leaves.count("MPB2"));
+  const auto violations = layout::runDrc(kTech, r.layout().cell.shapes);
   std::size_t shorts = 0;
   for (const auto& v : violations) {
     if (v.detail.find("short") != std::string::npos) ++shorts;
@@ -226,27 +236,25 @@ TEST(Corners, FlowDrawsTheBiasGenerator) {
   EXPECT_EQ(shorts, 0u);
   // Verified with the generator in the loop; bias nets now carry routing
   // parasitics.
-  EXPECT_NEAR(r.measured.gbwHz, 65e6, 65e6 * 0.06);
-  EXPECT_GT(r.layout.parasitics.capOn("vbn"), 1e-15);
-  EXPECT_GT(r.bias.biasCurrent, 1e-6);
+  EXPECT_NEAR(r.result.measured.gbwHz, 65e6, 65e6 * 0.06);
+  EXPECT_GT(r.layout().parasitics.capOn("vbn"), 1e-15);
+  EXPECT_GT(r.topology.bias().biasCurrent, 1e-6);
 }
 
 // --- Monte Carlo. ---
 
 TEST(MonteCarlo, OffsetSpreadScalesWithMismatch) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const OtaRun r;
 
   sizing::MonteCarloOptions small;
   small.samples = 25;
   small.avt = 5e-9;
   sizing::MonteCarloOptions big = small;
   big.avt = 20e-9;
-  const auto rs = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign,
-                                        &r.layout.parasitics, small);
-  const auto rb = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign,
-                                        &r.layout.parasitics, big);
+  const auto rs = sizing::runMonteCarlo(kTech, r.model(), r.extracted(),
+                                        &r.layout().parasitics, small);
+  const auto rb = sizing::runMonteCarlo(kTech, r.model(), r.extracted(),
+                                        &r.layout().parasitics, big);
   EXPECT_EQ(rs.failures, 0);
   EXPECT_EQ(static_cast<int>(rs.offsetsMv.size()), small.samples);
   EXPECT_GT(rb.offsetSigmaMv, 2.0 * rs.offsetSigmaMv);
@@ -256,13 +264,11 @@ TEST(MonteCarlo, OffsetSpreadScalesWithMismatch) {
 }
 
 TEST(MonteCarlo, Deterministic) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const OtaRun r;
   sizing::MonteCarloOptions mc;
   mc.samples = 10;
-  const auto a = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign, nullptr, mc);
-  const auto b = sizing::runMonteCarlo(kTech, flow.model(), r.extractedDesign, nullptr, mc);
+  const auto a = sizing::runMonteCarlo(kTech, r.model(), r.extracted(), nullptr, mc);
+  const auto b = sizing::runMonteCarlo(kTech, r.model(), r.extracted(), nullptr, mc);
   ASSERT_EQ(a.offsetsMv.size(), b.offsetsMv.size());
   for (std::size_t i = 0; i < a.offsetsMv.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.offsetsMv[i], b.offsetsMv[i]);
@@ -271,21 +277,31 @@ TEST(MonteCarlo, Deterministic) {
 
 // --- Usable range (input CM range / output swing intersection). ---
 
+/// The unity-buffer window from the verification tier's ICMR sweep: 66
+/// points from 0.05 V to vdd - 0.05 V, 0.02 V tracking tolerance.
+verify::ExtendedMeasures bufferWindow(const device::MosModel& model,
+                                      const sizing::AmpInstantiateFn& instantiate,
+                                      double inputCm, double vdd) {
+  verify::VerificationOptions options;
+  options.sweepPoints = 66;
+  options.trackingTolerance = 0.02;
+  return verify::measureExtended(kTech, model, instantiate, inputCm, vdd,
+                                 /*parasitics=*/nullptr, options);
+}
+
 TEST(Range, BufferTracksInsideTheDesignWindow) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  const auto range = sizing::measureUsableRange(
-      kTech, flow.model(),
-      [&](circuit::Circuit& ck) { circuit::instantiateOta(ck, r.extractedDesign); },
-      r.extractedDesign.vdd);
+  const OtaRun r;
+  const auto range = bufferWindow(
+      r.model(),
+      [&](circuit::Circuit& ck) { circuit::instantiateOta(ck, r.extracted()); },
+      r.extracted().inputCm, r.extracted().vdd);
   // A healthy window around the design common mode.
-  EXPECT_LT(range.low, 1.0);
-  EXPECT_GT(range.high, 1.6);
-  EXPECT_GT(range.span(), 0.8);
+  EXPECT_LT(range.icmrLow, 1.0);
+  EXPECT_GT(range.icmrHigh, 1.6);
+  EXPECT_GT(range.icmrHigh - range.icmrLow, 0.8);
   // The design common mode sits inside it.
-  EXPECT_GT(r.extractedDesign.inputCm, range.low);
-  EXPECT_LT(r.extractedDesign.inputCm, range.high);
+  EXPECT_GT(r.extracted().inputCm, range.icmrLow);
+  EXPECT_LT(r.extracted().inputCm, range.icmrHigh);
 }
 
 TEST(Range, TwoStageBufferHasItsOwnWindow) {
@@ -294,13 +310,13 @@ TEST(Range, TwoStageBufferHasItsOwnWindow) {
   sizing::OtaSpecs specs;
   specs.gbw = 30e6;
   const auto r = sizer.size(specs, sizing::SizingPolicy::case2());
-  const auto range = sizing::measureUsableRange(
-      kTech, *model,
+  const auto range = bufferWindow(
+      *model,
       [&](circuit::Circuit& ck) { circuit::instantiateTwoStage(ck, r.design); },
-      r.design.vdd);
-  EXPECT_GT(range.span(), 0.5);
-  EXPECT_GT(r.design.inputCm, range.low);
-  EXPECT_LT(r.design.inputCm, range.high);
+      r.design.inputCm, r.design.vdd);
+  EXPECT_GT(range.icmrHigh - range.icmrLow, 0.5);
+  EXPECT_GT(r.design.inputCm, range.icmrLow);
+  EXPECT_LT(r.design.inputCm, range.icmrHigh);
 }
 
 // --- Temperature dependence. ---
@@ -330,13 +346,11 @@ TEST(Temperature, SubthresholdCurrentRisesWithHeat) {
 }
 
 TEST(Temperature, VerificationFollowsTechnologyTemperature) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const OtaRun r;
   tech::Technology hot = kTech;
   hot.temperature = 273.15 + 125.0;
-  sizing::OtaVerifier hotVerifier(hot, flow.model());
-  const auto m = hotVerifier.verify(r.extractedDesign, &r.layout.parasitics);
+  sizing::OtaVerifier hotVerifier(hot, r.model());
+  const auto m = hotVerifier.verify(r.extracted(), &r.layout().parasitics);
   // The amplifier must survive 125 C with degraded but sane numbers, and the
   // hot run must differ measurably from nominal.
   EXPECT_GT(m.dcGainDb, 55.0);
@@ -344,21 +358,19 @@ TEST(Temperature, VerificationFollowsTechnologyTemperature) {
   // The fixed gate biases sit near the zero-temperature-coefficient point
   // (mobility loss compensates the threshold drop), so the GBW shift is
   // small but must be nonzero.
-  EXPECT_GT(std::abs(m.gbwHz - r.measured.gbwHz), 1e5);
+  EXPECT_GT(std::abs(m.gbwHz - r.result.measured.gbwHz), 1e5);
   // Thermal noise grows roughly as sqrt(T).
-  EXPECT_GT(m.thermalNoiseDensityNv, r.measured.thermalNoiseDensityNv);
+  EXPECT_GT(m.thermalNoiseDensityNv, r.result.measured.thermalNoiseDensityNv);
 }
 
 // --- Operating-point report. ---
 
 TEST(OpReport, ListsEveryDeviceAndNode) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  sizing::OtaVerifier v(kTech, flow.model());
+  const OtaRun r;
+  sizing::OtaVerifier v(kTech, r.model());
   const circuit::Circuit c =
-      v.buildAcTestbench(r.extractedDesign, &r.layout.parasitics, 1, 0, 0);
-  sim::Simulator sim(c, kTech, flow.model());
+      v.buildAcTestbench(r.extracted(), &r.layout().parasitics, 1, 0, 0);
+  sim::Simulator sim(c, kTech, r.model());
   const auto op = sim.dcOperatingPoint();
   const std::string report = sim::opReport(c, op);
   for (const char* token : {"MP1", "MN2C", "saturation", "node voltages", "VDD", "out"}) {
@@ -376,20 +388,18 @@ TEST(OpReport, ListsEveryDeviceAndNode) {
 // --- PSRR / settling (measured vs analytic). ---
 
 TEST(Psrr, MeasuredAndPredictedAgreeOnScale) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
-  EXPECT_GT(r.measured.psrrDb, 55.0);
+  const OtaRun r;
+  EXPECT_GT(r.result.measured.psrrDb, 55.0);
   // The analytic PSRR is an order-of-magnitude figure (the tail and mirror
   // supply paths partially cancel in ways the closed form cannot see), and
   // it errs conservative: predicted rejection <= measured.
-  EXPECT_GT(r.predicted.psrrDb, 40.0);
-  EXPECT_LE(r.predicted.psrrDb, r.measured.psrrDb + 5.0);
-  EXPECT_NEAR(r.measured.psrrDb, r.predicted.psrrDb, 25.0);
-  EXPECT_GT(r.measured.settlingTimeNs, 1.0);
-  EXPECT_LT(r.measured.settlingTimeNs, 200.0);
+  EXPECT_GT(r.result.predicted.psrrDb, 40.0);
+  EXPECT_LE(r.result.predicted.psrrDb, r.result.measured.psrrDb + 5.0);
+  EXPECT_NEAR(r.result.measured.psrrDb, r.result.predicted.psrrDb, 25.0);
+  EXPECT_GT(r.result.measured.settlingTimeNs, 1.0);
+  EXPECT_LT(r.result.measured.settlingTimeNs, 200.0);
   // Settling estimate within a factor of ~2.5 of the simulation.
-  EXPECT_LT(std::abs(std::log(r.measured.settlingTimeNs / r.predicted.settlingTimeNs)),
+  EXPECT_LT(std::abs(std::log(r.result.measured.settlingTimeNs / r.result.predicted.settlingTimeNs)),
             std::log(2.5));
 }
 

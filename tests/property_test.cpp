@@ -11,7 +11,8 @@
 #include <vector>
 
 #include "circuit/spice_io.hpp"
-#include "core/flow.hpp"
+#include "core/engine.hpp"
+#include "core/ota_topology.hpp"
 #include "device/inversion.hpp"
 #include "layout/drc.hpp"
 #include "layout/router.hpp"
@@ -328,20 +329,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SlicingFuzz, ::testing::Range(100, 110));
 // --- Netlist round trip through text preserves simulation results. ---
 
 TEST(Integration, ExtractedNetlistRoundTripSimulatesIdentically) {
-  core::FlowOptions opt;
-  core::SynthesisFlow flow(kTech, opt);
-  const auto r = flow.run(sizing::OtaSpecs{});
+  const core::SynthesisEngine engine(kTech, core::EngineOptions{});
+  core::FoldedCascodeOtaTopology ota(kTech, engine.model());
+  (void)engine.run(ota, sizing::OtaSpecs{});
 
   // Build the extracted AC testbench, write it to SPICE text, parse it back.
-  sizing::OtaVerifier verifier(kTech, flow.model());
-  const circuit::Circuit direct =
-      verifier.buildAcTestbench(r.extractedDesign, &r.layout.parasitics, 1.0, 0.0, 0.0);
+  sizing::OtaVerifier verifier(kTech, engine.model());
+  const circuit::Circuit direct = verifier.buildAcTestbench(
+      ota.extractedDesign(), &ota.layout().parasitics, 1.0, 0.0, 0.0);
   const circuit::Circuit reparsed = circuit::parseNetlist(circuit::writeNetlist(direct));
   ASSERT_EQ(reparsed.mosfets.size(), direct.mosfets.size());
   ASSERT_EQ(reparsed.capacitors.size(), direct.capacitors.size());
 
-  sim::Simulator simA(direct, kTech, flow.model());
-  sim::Simulator simB(reparsed, kTech, flow.model());
+  sim::Simulator simA(direct, kTech, engine.model());
+  sim::Simulator simB(reparsed, kTech, engine.model());
   const auto opA = simA.dcOperatingPoint();
   const auto opB = simB.dcOperatingPoint();
   const auto outA = *direct.findNode("out");
@@ -355,15 +356,13 @@ TEST(Integration, ExtractedNetlistRoundTripSimulatesIdentically) {
   EXPECT_NEAR(gbwA, gbwB, gbwA * 1e-3);
 }
 
-// --- Technology text round trip preserves the whole flow result. ---
+// --- Technology text round trip preserves the whole engine result. ---
 
-TEST(Integration, TechFileRoundTripPreservesFlowResult) {
+TEST(Integration, TechFileRoundTripPreservesEngineResult) {
   const tech::Technology reparsed = tech::Technology::parse(kTech.toText());
-  core::FlowOptions opt;
-  core::SynthesisFlow flowA(kTech, opt);
-  core::SynthesisFlow flowB(reparsed, opt);
-  const auto a = flowA.run(sizing::OtaSpecs{});
-  const auto b = flowB.run(sizing::OtaSpecs{});
+  const core::EngineOptions opt;
+  const auto a = core::SynthesisEngine(kTech, opt).run(sizing::OtaSpecs{});
+  const auto b = core::SynthesisEngine(reparsed, opt).run(sizing::OtaSpecs{});
   EXPECT_NEAR(a.measured.gbwHz, b.measured.gbwHz, a.measured.gbwHz * 1e-6);
   EXPECT_NEAR(a.measured.dcGainDb, b.measured.dcGainDb, 1e-6);
   EXPECT_EQ(a.layoutCalls, b.layoutCalls);

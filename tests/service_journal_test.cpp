@@ -25,15 +25,29 @@ namespace {
 
 const tech::Technology kTech = tech::Technology::generic060();
 
-/// A fresh scratch directory per test.
-std::string scratchDir(const std::string& name) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("lo_journal_test_" + name + "_" +
-                    std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
+/// A fresh scratch directory per test, removed when the test ends.
+/// Declare it before anything that keeps files open inside it.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_((std::filesystem::temp_directory_path() /
+               ("lo_journal_test_" + name + "_" + std::to_string(::getpid())))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 JournalOptions dirOptions(const std::string& dir) {
   JournalOptions options;
@@ -68,7 +82,8 @@ JournalRecord finishedRecord(std::uint64_t id, const std::string& state) {
 }
 
 TEST(JobJournal, RoundTripsRecordsAndDigestsPending) {
-  const std::string dir = scratchDir("roundtrip");
+  const ScratchDir scratch("roundtrip");
+  const std::string& dir = scratch.path();
   {
     JobJournal journal(dirOptions(dir));
     (void)journal.replay();
@@ -99,7 +114,8 @@ TEST(JobJournal, RoundTripsRecordsAndDigestsPending) {
 }
 
 TEST(JobJournal, DoubleReplayIsIdempotent) {
-  const std::string dir = scratchDir("idempotent");
+  const ScratchDir scratch("idempotent");
+  const std::string& dir = scratch.path();
   JobJournal journal(dirOptions(dir));
   (void)journal.replay();
   journal.append(submittedRecord(1, "a"));
@@ -117,7 +133,8 @@ TEST(JobJournal, DoubleReplayIsIdempotent) {
 }
 
 TEST(JobJournal, ToleratesAndTruncatesTornFinalRecord) {
-  const std::string dir = scratchDir("torn");
+  const ScratchDir scratch("torn");
+  const std::string& dir = scratch.path();
   {
     JobJournal journal(dirOptions(dir));
     (void)journal.replay();
@@ -147,7 +164,8 @@ TEST(JobJournal, ToleratesAndTruncatesTornFinalRecord) {
 }
 
 TEST(JobJournal, TornWriteFaultLeavesReplayableLog) {
-  const std::string dir = scratchDir("torn_fault");
+  const ScratchDir scratch("torn_fault");
+  const std::string& dir = scratch.path();
   std::atomic<int> appends{0};
   JournalOptions options = dirOptions(dir);
   // The third append tears mid-frame and freezes the journal.
@@ -172,7 +190,8 @@ TEST(JobJournal, TornWriteFaultLeavesReplayableLog) {
 }
 
 TEST(JobJournal, AppendFailureTruncatesBackToGoodBoundary) {
-  const std::string dir = scratchDir("short_write");
+  const ScratchDir scratch("short_write");
+  const std::string& dir = scratch.path();
   std::atomic<int> appends{0};
   JournalOptions options = dirOptions(dir);
   // The second append suffers a transient short write (half a frame lands,
@@ -195,7 +214,8 @@ TEST(JobJournal, AppendFailureTruncatesBackToGoodBoundary) {
 }
 
 TEST(JobJournal, StaleMagicResetsInsteadOfMisparsing) {
-  const std::string dir = scratchDir("magic");
+  const ScratchDir scratch("magic");
+  const std::string& dir = scratch.path();
   {
     std::ofstream out(std::filesystem::path(dir) / "journal.wal",
                       std::ios::binary);
@@ -211,7 +231,8 @@ TEST(JobJournal, StaleMagicResetsInsteadOfMisparsing) {
 }
 
 TEST(JobJournal, CompactKeepsOnlyLiveRecords) {
-  const std::string dir = scratchDir("compact");
+  const ScratchDir scratch("compact");
+  const std::string& dir = scratch.path();
   JobJournal journal(dirOptions(dir));
   (void)journal.replay();
   journal.append(submittedRecord(1, "a"));
@@ -228,7 +249,8 @@ TEST(JobJournal, CompactKeepsOnlyLiveRecords) {
 }
 
 TEST(SchedulerJournal, CleanShutdownLeavesEmptyJournal) {
-  const std::string dir = scratchDir("clean_shutdown");
+  const ScratchDir scratch("clean_shutdown");
+  const std::string& dir = scratch.path();
   SchedulerOptions options;
   options.threads = 1;
   options.journal.dir = dir;
@@ -249,7 +271,8 @@ TEST(SchedulerJournal, CleanShutdownLeavesEmptyJournal) {
 }
 
 TEST(SchedulerJournal, CleanShutdownPreservesUnfinishedJobsForRecovery) {
-  const std::string dir = scratchDir("shutdown_preserve");
+  const ScratchDir scratch("shutdown_preserve");
+  const std::string& dir = scratch.path();
   std::atomic<bool> hold{true};
   std::atomic<bool> entered{false};
 
@@ -316,7 +339,8 @@ TEST(SchedulerJournal, CleanShutdownPreservesUnfinishedJobsForRecovery) {
 }
 
 TEST(SchedulerJournal, SubmitJournalFailureDoesNotShedQueuedVictim) {
-  const std::string dir = scratchDir("shed_append_fail");
+  const ScratchDir scratch("shed_append_fail");
+  const std::string& dir = scratch.path();
   std::atomic<bool> hold{true};
   std::atomic<bool> entered{false};
   std::atomic<bool> failNext{false};
@@ -364,8 +388,10 @@ TEST(SchedulerJournal, SubmitJournalFailureDoesNotShedQueuedVictim) {
 }
 
 TEST(SchedulerJournal, KillMidBatchRestartAccountsForEveryJob) {
-  const std::string dir = scratchDir("kill_mid_batch");
-  const std::string cacheDir = scratchDir("kill_mid_batch_cache");
+  const ScratchDir scratch("kill_mid_batch");
+  const std::string& dir = scratch.path();
+  const ScratchDir cacheScratch("kill_mid_batch_cache");
+  const std::string& cacheDir = cacheScratch.path();
 
   SchedulerOptions options;
   options.threads = 1;
@@ -420,7 +446,8 @@ TEST(SchedulerJournal, KillMidBatchRestartAccountsForEveryJob) {
 }
 
 TEST(SchedulerJournal, CrashBeforeResultsRerunsTheEngine) {
-  const std::string dir = scratchDir("rerun");
+  const ScratchDir scratch("rerun");
+  const std::string& dir = scratch.path();
   SchedulerOptions options;
   options.threads = 1;
   options.journal.dir = dir;

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <thread>
 
-#include "core/sweep.hpp"
 #include "service/serialize.hpp"
 
 namespace lo::service {
@@ -62,14 +61,13 @@ struct Gate {
   }
 };
 
-TEST(SchedulerBatch, MatchesSweepDriverBitForBit) {
-  std::vector<core::SweepJob> sweepJobs(2);
-  sweepJobs[0].label = "ota";
-  sweepJobs[1].label = "two_stage";
-  sweepJobs[1].options.topology = core::kTwoStageTopologyName;
-  sweepJobs[1].specs.gbw = 30e6;
-  const auto sweep = core::SweepDriver(kTech, 2).run(sweepJobs);
+void expectSameNumbers(const core::EngineResult& a, const core::EngineResult& b) {
+  EXPECT_EQ(std::memcmp(&a.measured, &b.measured, sizeof(sizing::OtaPerformance)), 0);
+  EXPECT_EQ(std::memcmp(&a.predicted, &b.predicted, sizeof(sizing::OtaPerformance)), 0);
+  EXPECT_EQ(a.layoutCalls, b.layoutCalls);
+}
 
+TEST(SchedulerBatch, MatchesSerialEngineBitForBit) {
   std::vector<JobRequest> requests(2);
   requests[0].label = "ota";
   requests[1].label = "two_stage";
@@ -78,19 +76,88 @@ TEST(SchedulerBatch, MatchesSweepDriverBitForBit) {
   JobScheduler scheduler(kTech, SchedulerOptions{});
   const auto statuses = scheduler.runBatch(requests);
 
-  ASSERT_EQ(statuses.size(), sweep.size());
+  ASSERT_EQ(statuses.size(), requests.size());
   for (std::size_t i = 0; i < statuses.size(); ++i) {
     SCOPED_TRACE(statuses[i].label);
-    ASSERT_TRUE(sweep[i].ok) << sweep[i].error;
     ASSERT_EQ(statuses[i].state, JobState::kDone) << statuses[i].error;
-    EXPECT_EQ(std::memcmp(&statuses[i].result.measured, &sweep[i].result.measured,
-                          sizeof(sizing::OtaPerformance)),
-              0);
-    EXPECT_EQ(std::memcmp(&statuses[i].result.predicted, &sweep[i].result.predicted,
-                          sizeof(sizing::OtaPerformance)),
-              0);
-    EXPECT_EQ(statuses[i].result.layoutCalls, sweep[i].result.layoutCalls);
+    const tech::Technology jobTech = kTech.atCorner(requests[i].corner);
+    const core::SynthesisEngine engine(jobTech, requests[i].options);
+    expectSameNumbers(statuses[i].result, engine.run(requests[i].specs));
   }
+}
+
+/// Six folded-cascode points across corners and two two-stage points.
+std::vector<JobRequest> mixedBatch() {
+  std::vector<JobRequest> jobs;
+  for (double gbwMhz : {40.0, 65.0}) {
+    for (tech::ProcessCorner corner :
+         {tech::ProcessCorner::kTypical, tech::ProcessCorner::kSlow,
+          tech::ProcessCorner::kFast}) {
+      JobRequest job;
+      job.label = "ota_" + std::to_string(static_cast<int>(gbwMhz)) + "_" +
+                  tech::cornerName(corner);
+      job.specs.gbw = gbwMhz * 1e6;
+      job.corner = corner;
+      job.bypassCache = true;
+      jobs.push_back(job);
+    }
+  }
+  for (double gbwMhz : {20.0, 30.0}) {
+    JobRequest job;
+    job.label = "two_stage_" + std::to_string(static_cast<int>(gbwMhz));
+    job.options.topology = core::kTwoStageTopologyName;
+    job.specs.gbw = gbwMhz * 1e6;
+    job.bypassCache = true;
+    jobs.push_back(job);
+  }
+  return jobs;  // 8 jobs.
+}
+
+std::vector<JobStatus> runWithThreads(const std::vector<JobRequest>& jobs, int threads) {
+  SchedulerOptions options;
+  options.threads = threads;
+  JobScheduler scheduler(kTech, options);
+  return scheduler.runBatch(jobs);
+}
+
+TEST(SchedulerBatch, DeterministicAcrossThreadCounts) {
+  const std::vector<JobRequest> jobs = mixedBatch();
+  ASSERT_GE(jobs.size(), 8u);
+  const auto serial = runWithThreads(jobs, 1);
+  const auto threaded = runWithThreads(jobs, 4);
+  ASSERT_EQ(serial.size(), jobs.size());
+  ASSERT_EQ(threaded.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].label);
+    EXPECT_EQ(serial[i].label, jobs[i].label);
+    EXPECT_EQ(threaded[i].label, jobs[i].label);
+    ASSERT_EQ(serial[i].state, JobState::kDone) << serial[i].error;
+    ASSERT_EQ(threaded[i].state, JobState::kDone) << threaded[i].error;
+    // Bit-for-bit: the performance records and convergence history must be
+    // byte-identical regardless of scheduling.
+    expectSameNumbers(serial[i].result, threaded[i].result);
+    ASSERT_EQ(serial[i].result.iterations.size(), threaded[i].result.iterations.size());
+    for (std::size_t k = 0; k < serial[i].result.iterations.size(); ++k) {
+      const auto& a = serial[i].result.iterations[k];
+      const auto& b = threaded[i].result.iterations[k];
+      ASSERT_EQ(a.netCaps.size(), b.netCaps.size());
+      for (std::size_t n = 0; n < a.netCaps.size(); ++n) {
+        EXPECT_DOUBLE_EQ(a.netCaps[n], b.netCaps[n]);
+      }
+    }
+  }
+}
+
+TEST(SchedulerBatch, BadJobReportsErrorWithoutAbortingBatch) {
+  std::vector<JobRequest> jobs(2);
+  jobs[0].label = "good";
+  jobs[1].label = "bad";
+  jobs[1].options.topology = "no_such_topology";
+  const auto statuses = runWithThreads(jobs, 2);
+  ASSERT_EQ(statuses.size(), 2u);
+  EXPECT_EQ(statuses[0].state, JobState::kDone) << statuses[0].error;
+  EXPECT_EQ(statuses[1].state, JobState::kFailed);
+  EXPECT_NE(statuses[1].error.find("no_such_topology"), std::string::npos);
 }
 
 TEST(SchedulerCache, DuplicateSubmissionsAreServedByteIdentically) {

@@ -1,6 +1,10 @@
-#include "core/two_stage_flow.hpp"
+#include "core/engine.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+
+#include "core/two_stage_topology.hpp"
 
 #include "layout/drc.hpp"
 #include "layout/passives.hpp"
@@ -14,6 +18,13 @@ sizing::OtaSpecs twoStageSpecs() {
   sizing::OtaSpecs s;
   s.gbw = 30e6;  // A Miller OTA target this process reaches comfortably.
   return s;
+}
+
+core::EngineOptions twoStageOptions(core::SizingCase c = core::SizingCase::kCase4) {
+  core::EngineOptions options;
+  options.topology = core::kTwoStageTopologyName;
+  options.sizingCase = c;
+  return options;
 }
 
 // --- Passive generators. ---
@@ -147,23 +158,22 @@ TEST(TwoStage, LayoutIsDrcCleanAndReportsPassives) {
 }
 
 TEST(TwoStage, FullFlowConvergesAndMeetsSpecShape) {
-  core::TwoStageFlowOptions opt;
-  const auto r = core::runTwoStageFlow(kTech, opt, twoStageSpecs());
+  const core::SynthesisEngine engine(kTech, twoStageOptions());
+  core::TwoStageTopology topology(kTech, engine.model());
+  const core::EngineResult r = engine.run(topology, twoStageSpecs());
   EXPECT_TRUE(r.parasiticConverged);
   EXPECT_LE(r.layoutCalls, 5);
   // Extracted simulation within 12% of the (compensated) target.
   EXPECT_NEAR(r.measured.gbwHz, 30e6, 30e6 * 0.12);
   EXPECT_GE(r.measured.phaseMarginDeg, 58.0);
   // Drawn passives replaced the ideal ones in the extracted design.
-  EXPECT_NEAR(r.extractedDesign.cc, r.layout.ccInfo.drawnFarads, 1e-18);
+  EXPECT_NEAR(topology.extractedDesign().cc, topology.layout().ccInfo.drawnFarads, 1e-18);
 }
 
 TEST(TwoStage, Case1MissesWithoutLayoutKnowledge) {
-  core::TwoStageFlowOptions c1;
-  c1.sizingCase = core::SizingCase::kCase1;
-  core::TwoStageFlowOptions c4;
-  const auto r1 = core::runTwoStageFlow(kTech, c1, twoStageSpecs());
-  const auto r4 = core::runTwoStageFlow(kTech, c4, twoStageSpecs());
+  const auto r1 = core::SynthesisEngine(kTech, twoStageOptions(core::SizingCase::kCase1))
+                      .run(twoStageSpecs());
+  const auto r4 = core::SynthesisEngine(kTech, twoStageOptions()).run(twoStageSpecs());
   // Case 4's extracted GBW must be at least as close to target as case 1's.
   EXPECT_LE(std::abs(r4.measured.gbwHz - 30e6), std::abs(r1.measured.gbwHz - 30e6) + 1e5);
   EXPECT_EQ(r1.layoutCalls, 0);

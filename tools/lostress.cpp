@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "cli_args.hpp"
 #include "tech/technology.hpp"
 #include "testkit/soak.hpp"
 
@@ -45,17 +46,11 @@ void usage(const char* argv0) {
                argv0);
 }
 
-/// "10s", "2.5s" or a bare number of seconds.
-double parseDuration(const std::string& text) {
-  std::string digits = text;
-  if (!digits.empty() && digits.back() == 's') digits.pop_back();
-  char* end = nullptr;
-  const double v = std::strtod(digits.c_str(), &end);
-  if (end == digits.c_str() || *end != '\0' || v < 0.0) {
-    std::fprintf(stderr, "lostress: bad duration \"%s\"\n", text.c_str());
-    std::exit(2);
-  }
-  return v;
+/// "10s", "2.5s" or a bare number of seconds, validated like every other
+/// numeric flag.
+double parseDuration(const char* argv0, const std::string& flag, std::string text) {
+  if (!text.empty() && text.back() == 's') text.pop_back();
+  return lo::tools::parseNonNegative<double>(flag, text, [&] { usage(argv0); });
 }
 
 }  // namespace
@@ -76,16 +71,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--seed") options.seed = std::stoull(value());
+    const auto number = [&]<typename T>(T& out) {
+      out = tools::parseNonNegative<T>(arg, value(), [&] { usage(argv[0]); });
+    };
+    const auto seconds = [&](double& out) { out = parseDuration(argv[0], arg, value()); };
+    if (arg == "--seed") number(options.seed);
     else if (arg == "--faults") faultsName = value();
-    else if (arg == "--duration") options.durationSeconds = parseDuration(value());
-    else if (arg == "--clients") options.clients = std::stoi(value());
-    else if (arg == "--threads") options.schedulerThreads = std::stoi(value());
-    else if (arg == "--pool") options.poolSize = std::stoi(value());
-    else if (arg == "--max-requests") options.maxRequestsPerClient = std::stoi(value());
+    else if (arg == "--duration") seconds(options.durationSeconds);
+    else if (arg == "--clients") number(options.clients);
+    else if (arg == "--threads") number(options.schedulerThreads);
+    else if (arg == "--pool") number(options.poolSize);
+    else if (arg == "--max-requests") number(options.maxRequestsPerClient);
     else if (arg == "--cache-dir") options.cacheDir = value();
     else if (arg == "--journal-dir") options.journalDir = value();
-    else if (arg == "--drain-timeout") options.drainTimeoutSeconds = parseDuration(value());
+    else if (arg == "--drain-timeout") seconds(options.drainTimeoutSeconds);
     else if (arg == "--tech") techPath = value();
     else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);

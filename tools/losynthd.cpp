@@ -34,15 +34,13 @@
 //                        probe (default 30)
 //   --trace-log PATH     append one JSON trace line per finished job
 //   --tech PATH          technology file (default: built-in generic060)
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <type_traits>
 
+#include "cli_args.hpp"
 #include "explore/manager.hpp"
 #include "explore/service_ops.hpp"
 #include "service/protocol.hpp"
@@ -58,25 +56,6 @@ void usage(const char* argv0) {
                "          [--shed-watermark F] [--breaker N] [--breaker-reset T]\n"
                "          [--trace-log PATH] [--tech PATH]\n",
                argv0);
-}
-
-/// The whole of `text` as a non-negative number of type T.  Junk, trailing
-/// characters, a sign, overflow or a non-finite value print "bad value for
-/// FLAG" and the usage text, and exit 2.
-template <typename T>
-T parseNonNegative(const char* argv0, const std::string& flag, const std::string& text) {
-  T out{};
-  const char* last = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
-  bool ok = !text.empty() && ec == std::errc() && ptr == last;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out) && out >= 0.0;
-  if constexpr (std::is_signed_v<T>) ok = ok && out >= 0;
-  if (!ok) {
-    std::fprintf(stderr, "bad value for %s: '%s'\n", flag.c_str(), text.c_str());
-    usage(argv0);
-    std::exit(2);
-  }
-  return out;
 }
 
 }  // namespace
@@ -97,7 +76,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     const auto number = [&]<typename T>(T& out) {
-      out = parseNonNegative<T>(argv[0], arg, value());
+      out = tools::parseNonNegative<T>(arg, value(), [&] { usage(argv[0]); });
     };
     if (arg == "--threads") number(options.threads);
     else if (arg == "--queue-depth") number(options.maxQueueDepth);
